@@ -25,7 +25,6 @@
 #include "core/grouping/table.hpp"
 #include "core/obs/journal.hpp"
 #include "core/obs/log.hpp"
-#include "core/obs/recorder.hpp"
 #include "core/obs/resource.hpp"
 #include "core/obs/snapshot.hpp"
 #include "core/queryable.hpp"
@@ -182,116 +181,99 @@ double min_rep_ms(int reps, int passes) {
   return best;
 }
 
+/// Shared paired-A/B loop behind every "* overhead pct" row: the
+/// instrumentation off (`set_on(false)`) versus on, 32 rounds per attempt.
+///
+/// Contention noise on a shared machine is strictly additive (an A/A run
+/// of this protocol spans ±15% per leg), so two robust lowball estimators
+/// are combined: the ratio of per-arm global minima (both arms sample the
+/// fastest machine state given enough legs) and the best attempt's median
+/// of paired per-round ratios (pairing cancels drift; one clean 32-round
+/// window refutes systematic overhead, while a co-tenant burst only
+/// poisons the window it lands in).  Alternating leg order per round
+/// cancels within-round bias.  Genuine instrumentation overhead shifts
+/// the whole distribution and therefore both estimators.
+struct PairedOverhead {
+  double off_min = 1e300;
+  double on_min = 1e300;
+  double overhead_pct = 100.0;
+};
+
+template <typename SetOn, typename LegMs>
+PairedOverhead paired_overhead(SetOn set_on, LegMs leg_ms, int max_attempts) {
+  constexpr int kRounds = 32;
+  const auto median = [](std::vector<double> xs) {
+    const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
+    std::nth_element(xs.begin(), mid, xs.end());
+    return *mid;
+  };
+  PairedOverhead r;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    std::vector<double> ratios;
+    for (int round = 0; round < kRounds; ++round) {
+      const bool off_first = (round % 2) == 0;
+      double ms[2];  // [0] = off, [1] = on
+      for (int leg = 0; leg < 2; ++leg) {
+        const bool is_off = off_first == (leg == 0);
+        set_on(!is_off);
+        ms[is_off ? 0 : 1] = leg_ms();
+      }
+      r.off_min = std::min(r.off_min, ms[0]);
+      r.on_min = std::min(r.on_min, ms[1]);
+      ratios.push_back(ms[1] / ms[0]);
+    }
+    r.overhead_pct =
+        std::min(r.overhead_pct, (median(ratios) - 1.0) * 100.0);
+    r.overhead_pct = std::min(
+        r.overhead_pct, (r.on_min - r.off_min) / r.off_min * 100.0);
+    if (r.overhead_pct < 1.0) break;
+  }
+  r.overhead_pct = std::max(0.0, r.overhead_pct);
+  return r;
+}
+
 /// Measures the sink-check cost: pipelines built while tracing is armed
 /// (the default; every operator checks the thread-local sink pointer once)
 /// versus pipelines built fully disarmed (no instrumentation installed).
 /// No TraceSession is active in either arm — this is the
 /// "tracing disabled" configuration every production run pays for.
 void measure_tracing_overhead() {
-  constexpr int kRounds = 32;
   constexpr int kPasses = 12;
-  constexpr int kMaxAttempts = 3;
   // Warm up caches and the lazy dataset before timing anything.
   core::set_tracing_armed(true);
   min_rep_ms(2, kPasses);
-
-  // Contention noise on a shared machine is strictly additive (an A/A run
-  // of this protocol spans ±15% per leg), so two robust lowball
-  // estimators are combined: the ratio of per-arm global minima (both
-  // arms sample the fastest machine state given enough legs) and the
-  // best attempt's median of paired per-round ratios (pairing cancels
-  // drift; one clean 32-round window refutes systematic overhead, while
-  // a co-tenant burst only poisons the window it lands in).  Alternating
-  // leg order per round cancels within-round bias.  Genuine
-  // instrumentation overhead shifts the whole distribution and therefore
-  // both estimators.
-  const auto median = [](std::vector<double> xs) {
-    const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
-    std::nth_element(xs.begin(), mid, xs.end());
-    return *mid;
-  };
-  double disarmed_min = 1e300;
-  double armed_min = 1e300;
-  double overhead_pct = 100.0;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    std::vector<double> ratios;
-    for (int round = 0; round < kRounds; ++round) {
-      const bool disarmed_first = (round % 2) == 0;
-      double leg_ms[2];  // [0] = disarmed, [1] = armed
-      for (int leg = 0; leg < 2; ++leg) {
-        const bool is_disarmed = disarmed_first == (leg == 0);
-        core::set_tracing_armed(!is_disarmed);
-        leg_ms[is_disarmed ? 0 : 1] = min_rep_ms(1, kPasses);
-      }
-      disarmed_min = std::min(disarmed_min, leg_ms[0]);
-      armed_min = std::min(armed_min, leg_ms[1]);
-      ratios.push_back(leg_ms[1] / leg_ms[0]);
-    }
-    overhead_pct =
-        std::min(overhead_pct, (median(ratios) - 1.0) * 100.0);
-    overhead_pct = std::min(
-        overhead_pct, (armed_min - disarmed_min) / disarmed_min * 100.0);
-    if (overhead_pct < 1.0) break;
-  }
-  overhead_pct = std::max(0.0, overhead_pct);
+  const PairedOverhead r = paired_overhead(
+      [](bool on) { core::set_tracing_armed(on); },
+      [] { return min_rep_ms(1, kPasses); }, /*max_attempts=*/3);
   core::set_tracing_armed(true);
 
   bench::section("tracing overhead (no TraceSession installed)");
-  bench::kv("workload disarmed min (wall ms)", disarmed_min);
-  bench::kv("workload armed-no-sink min (wall ms)", armed_min);
-  bench::kv("tracing disabled overhead pct", overhead_pct);
+  bench::kv("workload disarmed min (wall ms)", r.off_min);
+  bench::kv("workload armed-no-sink min (wall ms)", r.on_min);
+  bench::kv("tracing disabled overhead pct", r.overhead_pct);
   bench::paper_vs_measured("tracing-disabled overhead", "< 2%",
-                           std::to_string(overhead_pct) + "%");
+                           std::to_string(r.overhead_pct) + "%");
 }
 
-/// Measures the always-on latency-histogram cost with the same paired
-/// protocol as measure_tracing_overhead: the op.wall_ms.<kind> observe at
-/// each materialization / release (the production default) versus the
-/// kill switch off.  Both telemetry layers carry the same < 2% promise
-/// (enforced by bench_schema_check).
+/// Measures the always-on latency-histogram cost: the op.wall_ms.<kind>
+/// observe at each materialization / release (the production default)
+/// versus the kill switch off.  Both telemetry layers carry the same
+/// < 2% promise (enforced by bench_schema_check).
 void measure_op_histogram_overhead() {
-  constexpr int kRounds = 32;
   constexpr int kPasses = 12;
-  constexpr int kMaxAttempts = 3;
   core::set_op_histograms_enabled(true);
   min_rep_ms(2, kPasses);  // warm-up
-
-  const auto median = [](std::vector<double> xs) {
-    const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
-    std::nth_element(xs.begin(), mid, xs.end());
-    return *mid;
-  };
-  double disabled_min = 1e300;
-  double enabled_min = 1e300;
-  double overhead_pct = 100.0;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    std::vector<double> ratios;
-    for (int round = 0; round < kRounds; ++round) {
-      const bool disabled_first = (round % 2) == 0;
-      double leg_ms[2];  // [0] = disabled, [1] = enabled
-      for (int leg = 0; leg < 2; ++leg) {
-        const bool is_disabled = disabled_first == (leg == 0);
-        core::set_op_histograms_enabled(!is_disabled);
-        leg_ms[is_disabled ? 0 : 1] = min_rep_ms(1, kPasses);
-      }
-      disabled_min = std::min(disabled_min, leg_ms[0]);
-      enabled_min = std::min(enabled_min, leg_ms[1]);
-      ratios.push_back(leg_ms[1] / leg_ms[0]);
-    }
-    overhead_pct = std::min(overhead_pct, (median(ratios) - 1.0) * 100.0);
-    overhead_pct = std::min(
-        overhead_pct, (enabled_min - disabled_min) / disabled_min * 100.0);
-    if (overhead_pct < 1.0) break;
-  }
-  overhead_pct = std::max(0.0, overhead_pct);
+  const PairedOverhead r = paired_overhead(
+      [](bool on) { core::set_op_histograms_enabled(on); },
+      [] { return min_rep_ms(1, kPasses); }, /*max_attempts=*/3);
   core::set_op_histograms_enabled(true);
 
   bench::section("op histogram overhead (kill switch off vs on)");
-  bench::kv("workload histograms-off min (wall ms)", disabled_min);
-  bench::kv("workload histograms-on min (wall ms)", enabled_min);
-  bench::kv("op histogram overhead pct", overhead_pct);
+  bench::kv("workload histograms-off min (wall ms)", r.off_min);
+  bench::kv("workload histograms-on min (wall ms)", r.on_min);
+  bench::kv("op histogram overhead pct", r.overhead_pct);
   bench::paper_vs_measured("op-histogram overhead", "< 2%",
-                           std::to_string(overhead_pct) + "%");
+                           std::to_string(r.overhead_pct) + "%");
 }
 
 /// One pass of the journal overhead workload: the same pipeline shape as
@@ -322,145 +304,44 @@ double journal_min_rep_ms(int reps, int passes,
   return best;
 }
 
-/// Measures the event-journal cost with the same paired protocol as
-/// measure_tracing_overhead: audited releases with the journal armed (the
-/// production default for mediated sessions — one mutex-protected ring
-/// append per release) versus the construction-time kill switch off (one
-/// relaxed atomic load per emission site).  Same < 2% promise, enforced
-/// by bench_schema_check on the "journal armed overhead pct" row.
+/// Measures the event-journal cost: audited releases with the journal
+/// armed (the production default for mediated sessions — one
+/// mutex-protected ring append per release) versus the construction-time
+/// kill switch off (one relaxed atomic load per emission site).  Same
+/// < 2% promise, enforced by bench_schema_check on the
+/// "journal armed overhead pct" row.
 void measure_journal_overhead() {
-  constexpr int kRounds = 32;
   constexpr int kPasses = 12;
-  // More retry windows than the other A/Bs: the armed arm takes a real
-  // mutex per release, so a co-tenant burst skews this pairing harder.
-  constexpr int kMaxAttempts = 6;
   auto audit = std::make_shared<core::AuditingBudget>(
       std::make_shared<core::RootBudget>(1e12));
   core::obs::set_journal_armed(true);
   journal_min_rep_ms(2, kPasses, audit);  // warm-up
-
-  const auto median = [](std::vector<double> xs) {
-    const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
-    std::nth_element(xs.begin(), mid, xs.end());
-    return *mid;
-  };
-  double disarmed_min = 1e300;
-  double armed_min = 1e300;
-  double overhead_pct = 100.0;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    std::vector<double> ratios;
-    for (int round = 0; round < kRounds; ++round) {
-      const bool disarmed_first = (round % 2) == 0;
-      double leg_ms[2];  // [0] = disarmed, [1] = armed
-      for (int leg = 0; leg < 2; ++leg) {
-        const bool is_disarmed = disarmed_first == (leg == 0);
-        core::obs::set_journal_armed(!is_disarmed);
-        leg_ms[is_disarmed ? 0 : 1] = journal_min_rep_ms(1, kPasses, audit);
-      }
-      disarmed_min = std::min(disarmed_min, leg_ms[0]);
-      armed_min = std::min(armed_min, leg_ms[1]);
-      ratios.push_back(leg_ms[1] / leg_ms[0]);
-    }
-    overhead_pct = std::min(overhead_pct, (median(ratios) - 1.0) * 100.0);
-    overhead_pct = std::min(
-        overhead_pct, (armed_min - disarmed_min) / disarmed_min * 100.0);
-    if (overhead_pct < 1.0) break;
-  }
-  overhead_pct = std::max(0.0, overhead_pct);
+  // More retry windows than the other A/Bs: the armed arm takes a real
+  // mutex per release, so a co-tenant burst skews this pairing harder.
+  const PairedOverhead r = paired_overhead(
+      [](bool on) { core::obs::set_journal_armed(on); },
+      [&audit] { return journal_min_rep_ms(1, kPasses, audit); },
+      /*max_attempts=*/6);
   core::obs::set_journal_armed(true);
   // The A/B filled (and wrapped) the global ring; drop those events so
   // any journal flushed later covers real work, not the overhead probe.
   core::obs::EventJournal::global().clear();
 
   bench::section("event journal overhead (kill switch off vs on)");
-  bench::kv("workload journal-off min (wall ms)", disarmed_min);
-  bench::kv("workload journal-on min (wall ms)", armed_min);
-  bench::kv("journal armed overhead pct", overhead_pct);
+  bench::kv("workload journal-off min (wall ms)", r.off_min);
+  bench::kv("workload journal-on min (wall ms)", r.on_min);
+  bench::kv("journal armed overhead pct", r.overhead_pct);
   bench::paper_vs_measured("journal armed overhead", "< 2%",
-                           std::to_string(overhead_pct) + "%");
-}
-
-/// Shared paired-A/B driver behind the live-ops kill-switch rows (flight
-/// recorder, ops log, ops snapshot): identical estimators to
-/// measure_tracing_overhead — min of (best attempt's median of paired
-/// per-round ratios, ratio of per-arm global minima), alternating leg
-/// order, retrying whole windows that a co-tenant burst poisoned.
-struct PairedOverhead {
-  double off_min = 1e300;
-  double on_min = 1e300;
-  double overhead_pct = 100.0;
-};
-
-template <typename SetArmed, typename LegMs>
-PairedOverhead paired_overhead(SetArmed set_armed, LegMs leg_ms,
-                               int max_attempts) {
-  constexpr int kRounds = 32;
-  const auto median = [](std::vector<double> xs) {
-    const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
-    std::nth_element(xs.begin(), mid, xs.end());
-    return *mid;
-  };
-  PairedOverhead r;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    std::vector<double> ratios;
-    for (int round = 0; round < kRounds; ++round) {
-      const bool off_first = (round % 2) == 0;
-      double ms[2];  // [0] = kill switch off, [1] = armed
-      for (int leg = 0; leg < 2; ++leg) {
-        const bool is_off = off_first == (leg == 0);
-        set_armed(!is_off);
-        ms[is_off ? 0 : 1] = leg_ms();
-      }
-      r.off_min = std::min(r.off_min, ms[0]);
-      r.on_min = std::min(r.on_min, ms[1]);
-      ratios.push_back(ms[1] / ms[0]);
-    }
-    r.overhead_pct =
-        std::min(r.overhead_pct, (median(ratios) - 1.0) * 100.0);
-    r.overhead_pct = std::min(
-        r.overhead_pct, (r.on_min - r.off_min) / r.off_min * 100.0);
-    if (r.overhead_pct < 1.0) break;
-  }
-  r.overhead_pct = std::max(0.0, r.overhead_pct);
-  return r;
-}
-
-/// Flight-recorder A/B: audited, journal-armed releases — the serve-path
-/// production config, where every journal event also mirrors one ring
-/// moment — with the recorder armed versus its construction-time kill
-/// switch off.  Same < 2% promise, enforced by bench_schema_check on the
-/// "flight recorder overhead pct" row.
-void measure_flight_recorder_overhead() {
-  constexpr int kPasses = 12;
-  auto audit = std::make_shared<core::AuditingBudget>(
-      std::make_shared<core::RootBudget>(1e12));
-  core::obs::set_journal_armed(true);
-  core::obs::set_recorder_armed(true);
-  journal_min_rep_ms(2, kPasses, audit);  // warm-up
-  const PairedOverhead r = paired_overhead(
-      [](bool on) { core::obs::set_recorder_armed(on); },
-      [&audit] { return journal_min_rep_ms(1, kPasses, audit); },
-      /*max_attempts=*/6);
-  core::obs::set_recorder_armed(true);
-  // Both the journal ring and the flight ring saw the probe's events;
-  // clear them so later artifacts cover real work only.
-  core::obs::EventJournal::global().clear();
-  core::obs::FlightRecorder::global().clear();
-
-  bench::section("flight recorder overhead (kill switch off vs on)");
-  bench::kv("workload recorder-off min (wall ms)", r.off_min);
-  bench::kv("workload recorder-on min (wall ms)", r.on_min);
-  bench::kv("flight recorder overhead pct", r.overhead_pct);
-  bench::paper_vs_measured("flight recorder overhead", "< 2%",
                            std::to_string(r.overhead_pct) + "%");
 }
 
 /// Ops-log A/B: the workload plus one admission-decision-shaped log line
-/// per pass (the serve path logs per decision, never per record) into a
-/// real file sink at debug level, armed versus the kill switch off.
+/// per pass (the serve path logs per decision, never per record) at
+/// debug level, with a real file sink attached versus detached (the
+/// detached arm is what an embedded engine with no sink pays per line).
 /// The limiter stays at the production default (256 lines/s/kind): the
 /// rate limiter is exactly the mechanism that bounds steady-state log
-/// cost, so past the per-second cap the armed arm pays the limiter's
+/// cost, so past the per-second cap the attached arm pays the limiter's
 /// window increment rather than a write+fflush — which is what a hot
 /// serve loop pays too.  The min/median estimators therefore measure the
 /// sustained-rate cost; the durable-write cost of the capped line volume
@@ -472,7 +353,6 @@ void measure_ops_log_overhead() {
   log.open_file(kProbePath);
   log.set_min_level(core::obs::LogLevel::kDebug);
   log.set_rate_limit(core::obs::OpsLog::kDefaultRateLimit);
-  core::obs::set_ops_log_armed(true);
   min_rep_ms(2, kPasses);  // warm-up
 
   const auto leg = [] {
@@ -490,9 +370,14 @@ void measure_ops_log_overhead() {
   // Extra retry windows: legs that straddle a limiter-window boundary
   // pay real file writes, so this pairing is noisier than the others.
   const PairedOverhead r = paired_overhead(
-      [](bool on) { core::obs::set_ops_log_armed(on); }, leg,
-      /*max_attempts=*/6);
-  core::obs::set_ops_log_armed(true);
+      [&log, kProbePath](bool on) {
+        if (on) {
+          log.open_file(kProbePath);
+        } else {
+          log.close();
+        }
+      },
+      leg, /*max_attempts=*/6);
   log.close();
   log.set_min_level(core::obs::LogLevel::kInfo);
   log.set_rate_limit(core::obs::OpsLog::kDefaultRateLimit);
@@ -507,33 +392,35 @@ void measure_ops_log_overhead() {
 }
 
 /// Ops-snapshot A/B: the workload plus one maybe_write() per pass against
-/// a writer on the serve default cadence (1 s) — between publishes the
-/// armed path is one clock read under a mutex, which is what every
+/// a writer on the serve default cadence (1 s) versus no call at all (a
+/// server without --ops-snapshot has no writer).  Between publishes the
+/// called path is one clock read under a mutex, which is what every
 /// drained response pays.
 void measure_ops_snapshot_overhead() {
   constexpr int kPasses = 12;
   const char* kProbePath = "bench_ops_snapshot_probe.json";
   core::obs::OpsSnapshotWriter writer(kProbePath,
                                       std::chrono::milliseconds(1000));
-  core::obs::set_ops_snapshot_armed(true);
+  bool publishing = true;
   min_rep_ms(2, kPasses);  // warm-up
 
-  const auto leg = [&writer] {
+  const auto leg = [&writer, &publishing] {
     const auto t0 = std::chrono::steady_clock::now();
     double sink = 0.0;
     for (int p = 0; p < kPasses; ++p) {
       sink += overhead_workload();
-      writer.maybe_write(
-          [] { return std::string("{\"schema\":\"dpnet.ops.v1\"}"); });
+      if (publishing) {
+        writer.maybe_write(
+            [] { return std::string("{\"schema\":\"dpnet.ops.v1\"}"); });
+      }
     }
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(sink);
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
   };
   const PairedOverhead r = paired_overhead(
-      [](bool on) { core::obs::set_ops_snapshot_armed(on); }, leg,
+      [&publishing](bool on) { publishing = on; }, leg,
       /*max_attempts=*/3);
-  core::obs::set_ops_snapshot_armed(true);
   std::remove(kProbePath);
 
   bench::section("ops snapshot overhead (kill switch off vs on)");
@@ -715,7 +602,6 @@ int main(int argc, char** argv) {
   measure_tracing_overhead();
   measure_op_histogram_overhead();
   measure_journal_overhead();
-  measure_flight_recorder_overhead();
   measure_ops_log_overhead();
   measure_ops_snapshot_overhead();
   measure_grouping_engine();

@@ -55,8 +55,9 @@ double RootBudget::spent() const {
   return spent_;
 }
 
-PartitionGroup::PartitionGroup(std::shared_ptr<PrivacyBudget> parent)
-    : parent_(std::move(parent)) {
+PartitionGroup::PartitionGroup(std::shared_ptr<PrivacyBudget> parent,
+                               std::uint64_t node_id)
+    : parent_(std::move(parent)), node_id_(node_id) {
   if (!parent_) throw InvalidQueryError("partition requires a parent budget");
 }
 
@@ -70,6 +71,7 @@ void PartitionGroup::raise_to(double child_total) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const double delta = child_total - max_child_;
   if (delta > 0.0) {
+    const ScopedChargeNode charge_node(node_id_);
     parent_->charge(delta);
     max_child_ = child_total;
   }
@@ -81,6 +83,7 @@ bool PartitionGroup::try_raise_to(double child_total) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const double delta = child_total - max_child_;
   if (delta <= 0.0) return true;
+  const ScopedChargeNode charge_node(node_id_);
   if (!parent_->try_charge(delta)) return false;
   max_child_ = child_total;
   return true;

@@ -110,9 +110,15 @@ class RootBudget final : public PrivacyBudget {
 /// Shared state between the sibling parts of one Partition operation.
 /// The parent is charged only the amount by which the maximum child total
 /// grows, so the parent's cost equals max over children, per PINQ.
+///
+/// Those parent charges run under a ScopedChargeNode naming `node_id`,
+/// the plan node the partition was taken of.  Which part raises the max
+/// first depends on the thread schedule, so stamping the raise with the
+/// part's own node would make the canonical ledger schedule-dependent.
 class PartitionGroup {
  public:
-  explicit PartitionGroup(std::shared_ptr<PrivacyBudget> parent);
+  explicit PartitionGroup(std::shared_ptr<PrivacyBudget> parent,
+                          std::uint64_t node_id = 0);
 
   [[nodiscard]] bool can_raise_to(double child_total) const;
   void raise_to(double child_total);
@@ -124,6 +130,7 @@ class PartitionGroup {
  private:
   mutable std::mutex mutex_;
   std::shared_ptr<PrivacyBudget> parent_;
+  std::uint64_t node_id_;
   double max_child_ = 0.0;
 };
 

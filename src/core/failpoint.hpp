@@ -41,12 +41,12 @@
 //   obs.journal.flush      in EventJournal::flush_to_file, after the
 //                          temp file is durable and before it is
 //                          renamed over the journal path (detail: path)
-//   obs.flight.dump        in FlightRecorder::dump_to_file, after the
-//                          temp file is durable and before it is
-//                          renamed over the dump path (detail: path)
 //   obs.snapshot.publish   in OpsSnapshotWriter::maybe_write, after the
 //                          temp file is durable and before it is
 //                          renamed over the snapshot path (detail: path)
+//
+// (Both obs.* points fire inside obs::publish_atomically,
+// core/obs/publish.hpp, which the two writers share.)
 #pragma once
 
 #include <atomic>

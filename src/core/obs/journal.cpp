@@ -1,17 +1,12 @@
 #include "core/obs/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 
-#include "core/errors.hpp"
-#include "core/failpoint.hpp"
 #include "core/json.hpp"
 #include "core/metrics.hpp"
-#include "core/obs/recorder.hpp"
+#include "core/obs/publish.hpp"
 #include "core/trace.hpp"
 
 namespace dpnet::core::obs {
@@ -66,22 +61,6 @@ void append_chained(std::string& out, const std::string& body,
   out += ",\"chain\":\"";
   out += chain_hex(chain);
   out += "\"}\n";
-}
-
-/// Best-effort fsync of `path`'s directory so the rename that published
-/// a new journal is itself durable.  Some filesystems refuse fsync on a
-/// directory fd; that only weakens durability of the very latest flush,
-/// never atomicity, so failures are ignored.
-void sync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  const int fd = ::open(dir.empty() ? "/" : dir.c_str(),
-                        O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 }  // namespace
@@ -206,47 +185,19 @@ std::string EventJournal::to_jsonl(bool canonical) const {
 
 void EventJournal::flush_to_file(const std::string& path,
                                  bool canonical) const {
-  const std::string doc = to_jsonl(canonical);
   // Crash-atomic replacement.  The journal file is the budget state of
   // record for a restarted server: a flush interrupted at any instant
   // (kill -9, power loss) must leave either the previous complete
   // journal or the new one on disk — a truncated file would make
   // recovery refuse startup, and the only operator remedy (deleting the
-  // journal) would refund every spent epsilon.  So: write a temp file
-  // in the same directory, make its bytes durable, then rename() it
-  // over the journal path (atomic on POSIX).
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    throw DpError("cannot write event journal to " + tmp);
-  }
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool synced = flushed && ::fsync(::fileno(f)) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != doc.size() || !synced || !closed) {
-    std::remove(tmp.c_str());
-    throw DpError("short write flushing event journal to " + tmp);
-  }
-  // A throw injected here models a crash after the temp file is durable
-  // but before it is published; the previous journal must still verify.
-  failpoint::hit("obs.journal.flush", path);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw DpError("cannot replace event journal at " + path);
-  }
-  sync_parent_dir(path);
+  // journal) would refund every spent epsilon.
+  publish_atomically(path, to_jsonl(canonical), "obs.journal.flush");
 }
 
 namespace journal_detail {
 
 void emit(EventKind kind, std::string label, std::uint64_t node_id,
           double eps, std::string detail) {
-  // Every journal event is also a flight-recorder moment, so the black
-  // box a crashed server leaves behind carries the same trailing context
-  // the journal witnessed (the dump reconciles against the flushed
-  // journal in the serve chaos drill).
-  record_moment(event_kind_name(kind), label, eps, detail);
   EventJournal::global().append(kind, std::move(label), node_id, eps,
                                 std::move(detail));
 }

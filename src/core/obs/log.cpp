@@ -81,10 +81,10 @@ void OpsLog::set_rate_limit(std::uint64_t per_sec) {
 void OpsLog::log(LogLevel level, std::string_view kind,
                  std::string_view label, double eps,
                  std::string_view detail) {
-  const std::int64_t ts_us = now_us();
   const std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr && !to_stderr_) return;
   if (level < min_level_) return;
+  const std::int64_t ts_us = now_us();
   std::uint64_t report_suppressed = 0;
   if (rate_limit_ > 0) {
     const std::int64_t second = ts_us / 1000000;
@@ -139,14 +139,5 @@ std::uint64_t OpsLog::suppressed() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return suppressed_;
 }
-
-namespace log_detail {
-
-void emit(LogLevel level, std::string_view kind, std::string_view label,
-          double eps, std::string_view detail) {
-  OpsLog::global().log(level, kind, label, eps, detail);
-}
-
-}  // namespace log_detail
 
 }  // namespace dpnet::core::obs

@@ -15,15 +15,13 @@
 // emitted line of that kind carries a "suppressed" field — a flooded
 // server degrades its log by summarizing, never by blocking or growing.
 //
-// Overhead: emission sites are one relaxed atomic load when disarmed
-// (set_ops_log_armed(false), the construction-time kill switch) and a
-// cheap no-op while no sink is attached; armed with a sink, one
+// Overhead: with no sink attached a line costs one mutex acquisition and
+// returns before any clock read or formatting; with a sink, one
 // mutex-protected formatted write per *line* (decisions and lifecycle —
-// never per record).  bench_micro_engine A/Bs both configurations under
-// the same <2% bound as the tracing/journal/flight-recorder layers.
+// never per record).  bench_micro_engine A/Bs sink attached versus
+// detached under the same <2% bound as the tracing and journal layers.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -111,34 +109,12 @@ class OpsLog {
   std::map<std::string, KindWindow, std::less<>> windows_;
 };
 
-namespace log_detail {
-
-// Construction-time kill switch, mirroring journal_detail::armed: when
-// disarmed every logging site is one relaxed atomic load.  Defaults to
-// armed; lines still go nowhere until a sink is attached.
-inline std::atomic<bool> armed{true};
-
-// Out-of-line slow path.  Only reached when armed.
-void emit(LogLevel level, std::string_view kind, std::string_view label,
-          double eps, std::string_view detail);
-
-}  // namespace log_detail
-
-[[nodiscard]] inline bool ops_log_armed() {
-  return log_detail::armed.load(std::memory_order_relaxed);
-}
-inline void set_ops_log_armed(bool on) {
-  log_detail::armed.store(on, std::memory_order_relaxed);
-}
-
-/// Emission hook.  One relaxed load when disarmed; callers sit on
-/// per-decision / per-lifecycle paths, never per record.
+/// Emission hook onto the global log.  Callers sit on per-decision /
+/// per-lifecycle paths, never per record.
 inline void log_event(LogLevel level, std::string_view kind,
                       std::string_view label = {}, double eps = 0.0,
                       std::string_view detail = {}) {
-  if (ops_log_armed()) {
-    log_detail::emit(level, kind, label, eps, detail);
-  }
+  OpsLog::global().log(level, kind, label, eps, detail);
 }
 
 }  // namespace dpnet::core::obs

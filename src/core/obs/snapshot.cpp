@@ -1,55 +1,8 @@
 #include "core/obs/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
-
-#include "core/errors.hpp"
-#include "core/failpoint.hpp"
+#include "core/obs/publish.hpp"
 
 namespace dpnet::core::obs {
-
-namespace {
-
-/// Best-effort fsync of `path`'s directory (journal-flush stance:
-/// failures weaken durability of the very latest publish, never
-/// atomicity, so they are ignored).
-void sync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  const int fd = ::open(dir.empty() ? "/" : dir.c_str(),
-                        O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
-void atomic_publish(const std::string& path, const std::string& doc) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    throw DpError("cannot write ops snapshot to " + tmp);
-  }
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool synced = flushed && ::fsync(::fileno(f)) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != doc.size() || !synced || !closed) {
-    std::remove(tmp.c_str());
-    throw DpError("short write flushing ops snapshot to " + tmp);
-  }
-  failpoint::hit("obs.snapshot.publish", path);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw DpError("cannot replace ops snapshot at " + path);
-  }
-  sync_parent_dir(path);
-}
-
-}  // namespace
 
 OpsSnapshotWriter::OpsSnapshotWriter(std::string path,
                                      std::chrono::milliseconds interval)
@@ -57,7 +10,6 @@ OpsSnapshotWriter::OpsSnapshotWriter(std::string path,
 
 bool OpsSnapshotWriter::maybe_write(
     const std::function<std::string()>& build, bool force) {
-  if (!ops_snapshot_armed()) return false;
   const auto now = std::chrono::steady_clock::now();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -69,7 +21,7 @@ bool OpsSnapshotWriter::maybe_write(
     last_write_ = now;
     ++writes_;
   }
-  atomic_publish(path_, build());
+  publish_atomically(path_, build(), "obs.snapshot.publish");
   return true;
 }
 

@@ -7,20 +7,19 @@
 // "dpnet.ops.v1") and publishes it at a fixed path.  OpsSnapshotWriter
 // owns the two properties that make that safe and cheap:
 //
-//  * Atomicity: every publish is temp-file + fsync + rename, the same
-//    idiom as the journal flush — a reader (or a kill -9) can never see
-//    a torn snapshot, only the previous complete one or the new one.
+//  * Atomicity: every publish goes through publish_atomically
+//    (core/obs/publish.hpp), the journal flush's temp-file + fsync +
+//    rename — a reader (or a kill -9) can never see a torn snapshot,
+//    only the previous complete one or the new one.
 //  * Cadence: maybe_write() builds and writes at most once per interval;
 //    between intervals it is one clock read, so callers can invoke it on
 //    every request without budgeting for I/O.
 //
-// Construction-time kill switch: set_ops_snapshot_armed(false) turns
-// every maybe_write() into one relaxed atomic load.  bench_micro_engine
-// A/Bs both configurations under the same <2% bound as the other ops
-// layers.
+// A server without a snapshot path constructs no writer.
+// bench_micro_engine A/Bs maybe_write() called versus not under the same
+// <2% bound as the other ops layers.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -29,21 +28,6 @@
 
 namespace dpnet::core::obs {
 
-namespace snapshot_detail {
-
-// Defaults to armed, like the journal and flight recorder; a writer
-// still does nothing until someone constructs one with a path.
-inline std::atomic<bool> armed{true};
-
-}  // namespace snapshot_detail
-
-[[nodiscard]] inline bool ops_snapshot_armed() {
-  return snapshot_detail::armed.load(std::memory_order_relaxed);
-}
-inline void set_ops_snapshot_armed(bool on) {
-  snapshot_detail::armed.store(on, std::memory_order_relaxed);
-}
-
 class OpsSnapshotWriter {
  public:
   /// Publishes to `path` at most once per `interval` (the serve default
@@ -51,10 +35,10 @@ class OpsSnapshotWriter {
   OpsSnapshotWriter(std::string path, std::chrono::milliseconds interval);
 
   /// Builds the document with `build` and atomically replaces the
-  /// snapshot file — but only when armed and the interval has elapsed
-  /// since the last publish (or `force` is set, for startup/shutdown
-  /// edges).  Returns true when a write happened.  Throws DpError on
-  /// I/O failure; `build` is only invoked when a write will happen.
+  /// snapshot file — but only when the interval has elapsed since the
+  /// last publish (or `force` is set, for startup/shutdown edges).
+  /// Returns true when a write happened.  Throws DpError on I/O
+  /// failure; `build` is only invoked when a write will happen.
   bool maybe_write(const std::function<std::string()>& build,
                    bool force = false);
 

@@ -476,7 +476,8 @@ class Queryable {
     std::vector<std::shared_ptr<PartitionGroup>> groups;
     groups.reserve(charges_.size());
     for (const auto& c : charges_) {
-      groups.push_back(std::make_shared<PartitionGroup>(c.budget));
+      groups.push_back(
+          std::make_shared<PartitionGroup>(c.budget, node_->id()));
     }
     guard_checkpoint("partition", node_->id());
     // key_index slot i corresponds to keys[i] (acquire order above), so

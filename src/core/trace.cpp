@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/json.hpp"
-#include "core/obs/recorder.hpp"
 #include "core/obs/resource.hpp"
 
 namespace dpnet::core {
@@ -229,10 +228,6 @@ TraceScope::~TraceScope() {
   span_->dur_us =
       std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
           .count();
-  // Traced span closes also feed the flight recorder (one moment per
-  // span, only under an active TraceSession), so the black box shows
-  // which operators ran in the final seconds before an incident.
-  obs::record_moment("span", {}, span_->wall_ms, span_->op);
   trace_->stack_.pop_back();
 }
 

@@ -17,26 +17,9 @@
 #include "core/obs/burn.hpp"
 #include "core/obs/journal.hpp"
 #include "core/obs/log.hpp"
-#include "core/obs/recorder.hpp"
 #include "core/obs/resource.hpp"
 
 namespace dpnet::serve {
-
-namespace {
-
-// One sanitized line on the ops log and one flight-recorder moment per
-// admission-ladder decision: the live and post-hoc surfaces see the same
-// events.  `depth` is the admission-queue depth at decision time — the
-// metric delta the flight recorder keeps alongside the decision.
-void witness_decision(core::obs::LogLevel level, const char* kind,
-                      const std::string& analyst, double eps,
-                      std::string_view reason, std::size_t depth) {
-  core::obs::log_event(level, kind, analyst, eps, reason);
-  core::obs::record_moment(kind, analyst, static_cast<double>(depth),
-                           std::string(reason));
-}
-
-}  // namespace
 
 QueryServer::QueryServer(std::vector<net::Packet> records,
                          ServerConfig config)
@@ -57,9 +40,8 @@ QueryServer::QueryServer(std::vector<net::Packet> records,
       std::max(cfg_.journal_capacity,
                journal_headroom() + cfg_.max_sessions));
   core::obs::EventJournal::global().clear();
-  // The flight recorder and burn tracker are claimed the same way: the
-  // black box and the forecasts reflect this server's lifetime only.
-  core::obs::FlightRecorder::global().clear();
+  // The burn tracker is claimed the same way: the forecasts reflect this
+  // server's lifetime only.
   core::obs::BurnTracker::global().clear();
   started_ = std::chrono::steady_clock::now();
   if (!cfg_.ops_snapshot_path.empty()) {
@@ -80,10 +62,9 @@ QueryServer::QueryServer(std::vector<net::Packet> records,
 
 QueryServer::~QueryServer() {
   drain();
-  // Final ops surfaces before the gauges drop: the last snapshot and
-  // flight dump describe the drained server, not a mid-flight one.
+  // Final snapshot before the gauges drop: it describes the drained
+  // server, not a mid-flight one.
   write_ops_snapshot(/*force=*/true);
-  dump_flight();
   core::builtin_metrics::serve_sessions_active().set(0.0);
   core::builtin_metrics::serve_queue_depth().set(0.0);
   // Disarm burn alerting on the way out — the threshold is this
@@ -172,10 +153,8 @@ void QueryServer::submit_frame(const std::string& line, ResponseSink sink) {
     req = protocol::parse_request(line);
   } catch (...) {
     core::builtin_metrics::serve_requests_rejected().increment();
-    witness_decision(core::obs::LogLevel::kWarn, "serve.reject", {}, 0.0,
-                     "malformed",
-                     static_cast<std::size_t>(
-                         core::builtin_metrics::serve_queue_depth().value()));
+    core::obs::log_event(core::obs::LogLevel::kWarn, "serve.reject", {}, 0.0,
+                         "malformed");
     write_response({}, sink,
                    protocol::error_response(
                        protocol::recover_frame_id(line), {},
@@ -187,10 +166,9 @@ void QueryServer::submit_frame(const std::string& line, ResponseSink sink) {
   if (sessions_.find(req.analyst) == sessions_.end() &&
       sessions_.size() >= cfg_.max_sessions) {
     core::builtin_metrics::serve_requests_rejected().increment();
-    const std::size_t depth = queued_total_;
     lock.unlock();
-    witness_decision(core::obs::LogLevel::kWarn, "serve.reject",
-                     req.analyst, 0.0, "session-limit", depth);
+    core::obs::log_event(core::obs::LogLevel::kWarn, "serve.reject",
+                         req.analyst, 0.0, "session-limit");
     write_response(req.analyst, sink,
                    protocol::error_response(req.id, req.analyst,
                                             {"session-limit", false}));
@@ -202,10 +180,9 @@ void QueryServer::submit_frame(const std::string& line, ResponseSink sink) {
   } catch (...) {
     core::builtin_metrics::serve_requests_rejected().increment();
     const protocol::WireError err = protocol::classify_current_exception();
-    const std::size_t depth = queued_total_;
     lock.unlock();
-    witness_decision(core::obs::LogLevel::kWarn, "serve.reject",
-                     req.analyst, 0.0, err.code, depth);
+    core::obs::log_event(core::obs::LogLevel::kWarn, "serve.reject",
+                         req.analyst, 0.0, err.code);
     write_response(req.analyst, sink,
                    protocol::error_response(req.id, req.analyst, err));
     return;
@@ -216,10 +193,9 @@ void QueryServer::submit_frame(const std::string& line, ResponseSink sink) {
   // retryable, and neither touches any budget.
   if (queued_total_ >= cfg_.queue_capacity) {
     core::builtin_metrics::serve_requests_shed().increment();
-    const std::size_t depth = queued_total_;
     lock.unlock();
-    witness_decision(core::obs::LogLevel::kWarn, "serve.shed", req.analyst,
-                     0.0, "overloaded", depth);
+    core::obs::log_event(core::obs::LogLevel::kWarn, "serve.shed",
+                         req.analyst, 0.0, "overloaded");
     write_response(req.analyst, sink,
                    protocol::error_response(req.id, req.analyst,
                                             {"overloaded", true}));
@@ -227,18 +203,17 @@ void QueryServer::submit_frame(const std::string& line, ResponseSink sink) {
   }
   if (session->queue.size() >= cfg_.analyst_queue_capacity) {
     core::builtin_metrics::serve_requests_rejected().increment();
-    const std::size_t depth = queued_total_;
     lock.unlock();
-    witness_decision(core::obs::LogLevel::kWarn, "serve.reject",
-                     req.analyst, 0.0, "backpressure", depth);
+    core::obs::log_event(core::obs::LogLevel::kWarn, "serve.reject",
+                         req.analyst, 0.0, "backpressure");
     write_response(req.analyst, sink,
                    protocol::error_response(req.id, req.analyst,
                                             {"backpressure", true}));
     return;
   }
 
-  witness_decision(core::obs::LogLevel::kDebug, "serve.admit", req.analyst,
-                   req.eps, req.query, queued_total_ + 1);
+  core::obs::log_event(core::obs::LogLevel::kDebug, "serve.admit",
+                       req.analyst, req.eps, req.query);
   session->queue.push_back(Pending{std::move(req), std::move(sink),
                                    std::chrono::steady_clock::now()});
   ++queued_total_;
@@ -280,7 +255,6 @@ void QueryServer::drain_loop() {
     const core::obs::EventJournal& journal = core::obs::EventJournal::global();
     const bool journal_full = journal.capacity() - journal.size() <
                               journal_headroom() * running_total_;
-    const std::size_t in_flight = running_total_;
     lock.unlock();
 
     std::string response;
@@ -289,8 +263,8 @@ void QueryServer::drain_loop() {
       // --journal-capacity clears it (recovery replays the spends, so
       // the restart loses nothing).
       core::builtin_metrics::serve_requests_shed().increment();
-      witness_decision(core::obs::LogLevel::kWarn, "serve.shed",
-                       session->analyst, 0.0, "journal-full", in_flight);
+      core::obs::log_event(core::obs::LogLevel::kWarn, "serve.shed",
+                           session->analyst, 0.0, "journal-full");
       response = protocol::error_response(pending.request.id,
                                           session->analyst,
                                           {"journal-full", false});
@@ -310,12 +284,8 @@ void QueryServer::drain_loop() {
                                             session->analyst,
                                             {"internal", false});
       }
-      // The black box rides the journal cadence: after every flushed
-      // response the on-disk dump's trailing events match the flushed
-      // journal's, so a kill -9 between requests leaves reconcilable
-      // artifacts.  The live snapshot is cadence-limited, so this is
-      // one clock read on most iterations.
-      dump_flight();
+      // The live snapshot is cadence-limited, so this is one clock read
+      // on most iterations.
       write_ops_snapshot();
     }
     write_response(session->analyst, pending.sink, response);
@@ -367,12 +337,9 @@ std::string QueryServer::execute(
   } catch (...) {
     const protocol::WireError err = protocol::classify_current_exception();
     // Guard aborts and contained faults are degradation, not admission:
-    // the ops log and flight recorder witness them as "serve.abort", and
-    // a fault dumps the black box immediately — the dump exists even if
-    // nothing else is ever served.
-    witness_decision(core::obs::LogLevel::kWarn, "serve.abort", req.analyst,
-                     0.0, err.code, 0);
-    dump_flight();
+    // the ops log witnesses them as "serve.abort".
+    core::obs::log_event(core::obs::LogLevel::kWarn, "serve.abort",
+                         req.analyst, 0.0, err.code);
     response = protocol::error_response(req.id, req.analyst, err);
   }
   frames_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -486,20 +453,6 @@ void QueryServer::flush_journal() const {
   if (cfg_.journal_path.empty()) return;
   const std::lock_guard<std::mutex> lock(journal_mutex_);
   core::obs::EventJournal::global().flush_to_file(cfg_.journal_path);
-}
-
-void QueryServer::dump_flight() const {
-  if (cfg_.flight_path.empty()) return;
-  try {
-    // journal_mutex_ also serializes dumps so the flight file tracks the
-    // journal file's cadence (flush, then dump, atomically each).
-    const std::lock_guard<std::mutex> lock(journal_mutex_);
-    core::obs::FlightRecorder::global().dump_to_file(cfg_.flight_path);
-  } catch (...) {
-    // Diagnostic context only: a failed dump never fails a request.
-    core::obs::log_event(core::obs::LogLevel::kWarn, "serve.error", {}, 0.0,
-                         "flight-dump");
-  }
 }
 
 std::string QueryServer::ops_snapshot_json() const {

@@ -96,11 +96,6 @@ struct ServerConfig {
       // refuses dispatch with "journal-full" rather than let the ring
       // drop — a dropped event would make the flushed journal
       // unreplayable and strand the next restart.
-  std::string flight_path;  // flight-recorder dump target; empty = no
-                            // dumps.  Written atomically alongside every
-                            // journal flush, on fault, and at shutdown,
-                            // so a kill -9 always leaves a complete
-                            // dpnet.flight.v1 black box.
   std::string ops_snapshot_path;  // live dpnet.ops.v1 snapshot for
                                   // `dpnet_cli top`; empty = off
   std::uint64_t ops_snapshot_interval_ms = 1000;  // snapshot cadence
@@ -175,11 +170,6 @@ class QueryServer {
   /// Called automatically before every response that follows a charge
   /// or refusal; exposed for a final flush at shutdown.
   void flush_journal() const;
-
-  /// Dumps the flight recorder to `flight_path` (no-op when unset).
-  /// Never throws — a failed dump is logged and the server keeps
-  /// serving (the dump is diagnostic context, not budget state).
-  void dump_flight() const;
 
   /// The live ops document, schema "dpnet.ops.v1": queue depth,
   /// in-flight count, per-analyst budgets with burn-rate forecasts,

@@ -24,8 +24,7 @@ this is not json
 EOF
 "$CLI" serve "$WORK/t.dpnt" --cap 1 --threads 2 --seed 3 \
   --journal "$WORK/j.jsonl" --ledger "$WORK/ledger.json" \
-  --trace-out "$WORK/trace.json" \
-  --flight "$WORK/flight.jsonl" --ops-log "$WORK/ops.jsonl" \
+  --trace-out "$WORK/trace.json" --ops-log "$WORK/ops.jsonl" \
   --ops-snapshot "$WORK/ops.json" --log-level debug \
   <"$WORK/req1" >"$WORK/resp1" 2>"$WORK/err1"
 
@@ -59,10 +58,7 @@ grep '"kind":"serve.admit"' "$WORK/ops.jsonl" \
   | grep '"label":"alice"' | grep -q '"eps":0.5'
 grep '"kind":"serve.reject"' "$WORK/ops.jsonl" | grep -q '"level":"warn"'
 
-echo "== flight dump and ops snapshot survive shutdown =="
-head -1 "$WORK/flight.jsonl" | grep -q '"schema":"dpnet.flight.v1"'
-# The black box mirrors every journal-witnessed charge: two ok frames.
-[ "$(grep -c '"kind":"charge"' "$WORK/flight.jsonl")" -eq 2 ]
+echo "== ops snapshot survives shutdown =="
 grep -q '"schema":"dpnet.ops.v1"' "$WORK/ops.json"
 grep -q '"analysts"' "$WORK/ops.json"
 
@@ -77,8 +73,7 @@ grep -q "reconciled: journal eps == ledger eps == trace eps (exact)" \
 echo "== responses never carry record contents =="
 # Telemetry and the wire protocol carry accounting metadata only; the
 # trace payloads must not surface anywhere in the server's output.
-for f in resp1 j.jsonl ledger.json trace.json flight.jsonl ops.jsonl \
-         ops.json; do
+for f in resp1 j.jsonl ledger.json trace.json ops.jsonl ops.json; do
   if grep -qE '"(payload|src_ip|dst_ip)"' "$WORK/$f"; then
     echo "record contents leaked into $f" >&2
     exit 1

@@ -136,6 +136,19 @@ TEST(Exec, CanonicalLedgerOrderIsScheduleIndependent) {
   }
 }
 
+TEST(Exec, PartitionChargesAreStampedWithThePartitionedNode) {
+  // Which part raises the max-cost first depends on the schedule, so the
+  // parent charge belongs to the node the partition was taken of.
+  auto audit =
+      std::make_shared<AuditingBudget>(std::make_shared<RootBudget>(1e6));
+  const auto data = protect(audit, 11);
+  std::ignore = run_pipeline(data, exec::ExecPolicy{8});
+  ASSERT_FALSE(audit->entries().empty());
+  for (const auto& entry : audit->entries()) {
+    EXPECT_EQ(entry.node_id, data.plan_node().id());
+  }
+}
+
 TEST(Exec, ParallelReleasesNeverOverspendAndRefusalsCountOnce) {
   // 40 releases race for a budget that admits exactly 10; the rest must
   // refuse, each counted exactly once, with the budget never overdrawn.

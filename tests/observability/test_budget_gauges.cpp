@@ -4,10 +4,13 @@
 // MetricsRegistry (docs/observability.md), and every charge/refusal is
 // witnessed by the global EventJournal unless the journal kill switch is
 // off.  Tests here use per-case unique labels and delta-based
-// assertions: the global registry outlives individual cases when the
-// whole binary runs in one process.
+// assertions on the monotone series (spent, refusals): the global
+// registry outlives individual cases and --gtest_repeat iterations when
+// the whole binary runs in one process.  The remaining gauge is set,
+// not accumulated, so its absolute checks hold on every repeat.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -26,13 +29,15 @@ TEST(BudgetGauges, LabeledChargesFeedPerAnalystGauges) {
   auto audit =
       std::make_shared<AuditingBudget>(std::make_shared<RootBudget>(2.0));
   const ScopedAuditLabel label(*audit, "gauge.alice");
+  const double before = builtin_metrics::budget_spent("gauge.alice").value();
   audit->charge(0.5);
-  EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.alice").value(), 0.5);
+  EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.alice").value(),
+                   before + 0.5);
   EXPECT_DOUBLE_EQ(builtin_metrics::budget_remaining("gauge.alice").value(),
                    1.5);
   audit->charge(0.25);
   EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.alice").value(),
-                   0.75);
+                   before + 0.75);
   EXPECT_DOUBLE_EQ(builtin_metrics::budget_remaining("gauge.alice").value(),
                    1.25);
 }
@@ -42,6 +47,9 @@ TEST(BudgetGauges, LabeledChargesFeedPerAnalystGauges) {
 TEST(BudgetGauges, LabelsSeparateAnalystSeries) {
   auto audit =
       std::make_shared<AuditingBudget>(std::make_shared<RootBudget>(2.0));
+  const double bob_before = builtin_metrics::budget_spent("gauge.bob").value();
+  const double carol_before =
+      builtin_metrics::budget_spent("gauge.carol").value();
   {
     const ScopedAuditLabel label(*audit, "gauge.bob");
     audit->charge(0.5);
@@ -50,9 +58,10 @@ TEST(BudgetGauges, LabelsSeparateAnalystSeries) {
     const ScopedAuditLabel label(*audit, "gauge.carol");
     audit->charge(0.25);
   }
-  EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.bob").value(), 0.5);
+  EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.bob").value(),
+                   bob_before + 0.5);
   EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.carol").value(),
-                   0.25);
+                   carol_before + 0.25);
   EXPECT_DOUBLE_EQ(audit->spent(), 0.75);
 }
 
@@ -63,11 +72,17 @@ TEST(BudgetGauges, RefusalsCountWithoutTouchingSpent) {
   auto audit =
       std::make_shared<AuditingBudget>(std::make_shared<RootBudget>(1.0));
   const ScopedAuditLabel label(*audit, "gauge.dave");
+  const std::uint64_t refusals_before =
+      builtin_metrics::budget_refusals("gauge.dave").value();
+  const double spent_before =
+      builtin_metrics::budget_spent("gauge.dave").value();
   audit->charge(0.75);
   EXPECT_THROW(audit->charge(0.5), BudgetExhaustedError);
   EXPECT_FALSE(audit->try_charge(0.5));
-  EXPECT_EQ(builtin_metrics::budget_refusals("gauge.dave").value(), 2u);
-  EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.dave").value(), 0.75);
+  EXPECT_EQ(builtin_metrics::budget_refusals("gauge.dave").value(),
+            refusals_before + 2);
+  EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.dave").value(),
+                   spent_before + 0.75);
   EXPECT_EQ(audit->entries().size(), 1u);
   EXPECT_DOUBLE_EQ(audit->spent(), 0.75);
 }
@@ -107,9 +122,11 @@ TEST(BudgetGauges, RemainingGaugeSkippedForUnboundedAccountants) {
   auto audit =
       std::make_shared<AuditingBudget>(std::make_shared<UnboundedBudget>());
   const ScopedAuditLabel label(*audit, "gauge.unbounded");
+  const double before =
+      builtin_metrics::budget_spent("gauge.unbounded").value();
   audit->charge(0.5);
   EXPECT_DOUBLE_EQ(builtin_metrics::budget_spent("gauge.unbounded").value(),
-                   0.5);
+                   before + 0.5);
   EXPECT_DOUBLE_EQ(
       builtin_metrics::budget_remaining("gauge.unbounded").value(), 0.0);
 }

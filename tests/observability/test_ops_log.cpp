@@ -1,9 +1,10 @@
 // The structured ops log (src/core/obs/log.hpp): dpnet.log.v1 JSONL
 // with a schema header, severity filtering, per-kind rate limiting that
 // degrades by summarizing (a "suppressed" count on the next emitted
-// line, never blocking), and the construction-time kill switch.
+// line, never blocking), and detaching the sink as the off switch.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -116,23 +117,26 @@ TEST(OpsLog, ZeroRateLimitIsUnlimited) {
 }
 
 // With no sink attached, lines go nowhere (engine-embedded callers stay
-// silent by default) — and the kill switch silences even an attached
-// global sink with one relaxed load per call site.
+// silent by default).  Detaching the global log's sink is its off
+// switch: log_event then writes nothing, and reattaching resumes.
 TEST(OpsLog, NoSinkDropsAndKillSwitchSilencesGlobal) {
   obs::OpsLog detached;
   detached.log(obs::LogLevel::kError, "nowhere", "", 0.0, "");
   EXPECT_EQ(detached.emitted(), 0u);
 
   const char* path = "test_ops_log_kill_tmp.jsonl";
-  obs::OpsLog::global().open_file(path);
-  obs::set_ops_log_armed(false);
-  obs::log_event(obs::LogLevel::kError, "killswitch", "", 0.0, "");
-  obs::set_ops_log_armed(true);
-  obs::log_event(obs::LogLevel::kError, "killswitch", "", 0.0, "armed");
-  obs::OpsLog::global().close();
+  obs::OpsLog& global = obs::OpsLog::global();
+  const std::uint64_t before = global.emitted();
+  global.close();
+  obs::log_event(obs::LogLevel::kError, "detached", "", 0.0, "");
+  EXPECT_EQ(global.emitted(), before);
+  global.open_file(path);
+  obs::log_event(obs::LogLevel::kError, "attached", "", 0.0, "sink");
+  global.close();
+  EXPECT_EQ(global.emitted(), before + 1);
   const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 2u);  // header + the armed line only
-  EXPECT_EQ(parse_json(lines[1]).at("detail").string, "armed");
+  ASSERT_EQ(lines.size(), 2u);  // header + the attached line only
+  EXPECT_EQ(parse_json(lines[1]).at("detail").string, "sink");
   std::remove(path);
 }
 

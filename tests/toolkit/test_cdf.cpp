@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <random>
 
 #include "stats/metrics.hpp"
@@ -57,18 +58,27 @@ TEST(ExactCdf, RejectsUnsortedOrDuplicateBoundaries) {
                std::invalid_argument);
 }
 
+// One CDF estimator under test.  The printed parameter is the estimator's
+// name, not its function-pointer address: ctest names parameterized cases
+// by that printout, and an address moves with every build and every run.
+struct CdfMethod {
+  const char* name;
+  CdfEstimate (*estimate)(const core::Queryable<std::int64_t>&,
+                          std::span<const std::int64_t>, double);
+};
+
+void PrintTo(const CdfMethod& method, std::ostream* os) { *os << method.name; }
+
 // All three estimators agree with the exact CDF when epsilon is enormous.
-class CdfMethodAgreement
-    : public ::testing::TestWithParam<
-          CdfEstimate (*)(const core::Queryable<std::int64_t>&,
-                          std::span<const std::int64_t>, double)> {};
+class CdfMethodAgreement : public ::testing::TestWithParam<CdfMethod> {};
 
 TEST_P(CdfMethodAgreement, MatchesExactCdfAtHighEps) {
   Env env;
   const auto values = ramp_values(5000, 200);
   const auto bounds = make_boundaries(0, 199, 13);
   const auto exact = exact_cdf(values, bounds);
-  const auto estimate = GetParam()(env.wrap(values), bounds, kExactEps);
+  const auto estimate =
+      GetParam().estimate(env.wrap(values), bounds, kExactEps);
   ASSERT_EQ(estimate.values.size(), exact.values.size());
   for (std::size_t i = 0; i < exact.values.size(); ++i) {
     EXPECT_NEAR(estimate.values[i], exact.values[i], 0.5) << "index " << i;
@@ -78,15 +88,17 @@ TEST_P(CdfMethodAgreement, MatchesExactCdfAtHighEps) {
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, CdfMethodAgreement,
     ::testing::Values(
-        +[](const core::Queryable<std::int64_t>& q,
-            std::span<const std::int64_t> b, double eps) {
-          return cdf_prefix_counts(q, b, eps);
-        },
-        +[](const core::Queryable<std::int64_t>& q,
-            std::span<const std::int64_t> b, double eps) {
-          return cdf_partition(q, b, eps);
-        },
-        &cdf_recursive));
+        CdfMethod{"cdf_prefix_counts",
+                  +[](const core::Queryable<std::int64_t>& q,
+                      std::span<const std::int64_t> b, double eps) {
+                    return cdf_prefix_counts(q, b, eps);
+                  }},
+        CdfMethod{"cdf_partition",
+                  +[](const core::Queryable<std::int64_t>& q,
+                      std::span<const std::int64_t> b, double eps) {
+                    return cdf_partition(q, b, eps);
+                  }},
+        CdfMethod{"cdf_recursive", &cdf_recursive}));
 
 TEST(CdfPrefixCounts, TotalPrivacyCostIsEpsTotal) {
   Env env;

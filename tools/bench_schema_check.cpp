@@ -6,7 +6,6 @@
 // Each file is dispatched on the schema named by its first line:
 //
 //   dpnet.bench.v1   bench reports (BENCH_*.json)
-//   dpnet.flight.v1  flight-recorder dumps (`serve --flight`)
 //   dpnet.log.v1     structured ops logs (`serve --ops-log`)
 //   dpnet.ops.v1     live ops snapshots (`serve --ops-snapshot`)
 //
@@ -14,7 +13,7 @@
 // the artifacts trustworthy: when a bench report carries both a query
 // trace and an audit ledger, the spans' eps_charged must sum to the
 // ledger's spend, and every "* overhead pct" result must stay under 2%;
-// flight/log sequence numbers must be strictly increasing; snapshot
+// log sequence numbers must be strictly increasing; snapshot
 // percentiles must be monotone.  Exit status 0 iff every file passes;
 // each failure prints one line.
 #include <cmath>
@@ -119,7 +118,6 @@ void check_results(const JsonValue& results) {
     if (key == "tracing disabled overhead pct" ||
         key == "op histogram overhead pct" ||
         key == "journal armed overhead pct" ||
-        key == "flight recorder overhead pct" ||
         key == "ops log overhead pct" ||
         key == "ops snapshot overhead pct") {
       if (value == nullptr || !value->is_number()) {
@@ -305,46 +303,6 @@ bool require_text(const JsonValue& obj, const char* field,
   return true;
 }
 
-/// dpnet.flight.v1: a header naming the dumped moment count, then one
-/// moment per line with strictly increasing sequence numbers.
-void check_flight(const JsonValue& header,
-                  const std::vector<JsonValue>& records) {
-  const JsonValue* moments = header.find("moments");
-  if (moments == nullptr || !moments->is_number() ||
-      moments->number != static_cast<double>(records.size())) {
-    fail("flight header 'moments' does not match the dumped line count");
-  }
-  if (const JsonValue* d = header.find("dropped");
-      d == nullptr || !d->is_number() || d->number < 0.0) {
-    fail("flight header missing non-negative 'dropped'");
-  }
-  double prev_seq = -1.0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const JsonValue& m = records[i];
-    const std::size_t line_no = i + 2;
-    if (!m.is_object()) {
-      fail("line " + std::to_string(line_no) + ": moment is not an object");
-      continue;
-    }
-    if (!require_number(m, "seq", line_no) ||
-        !require_number(m, "ts_us", line_no, /*allow_negative=*/true) ||
-        !require_number(m, "value", line_no, /*allow_negative=*/true) ||
-        !require_text(m, "kind", line_no) ||
-        !require_text(m, "label", line_no) ||
-        !require_text(m, "detail", line_no)) {
-      continue;
-    }
-    if (m.at("kind").string.empty()) {
-      fail("line " + std::to_string(line_no) + ": empty 'kind'");
-    }
-    if (m.at("seq").number <= prev_seq) {
-      fail("line " + std::to_string(line_no) +
-           ": 'seq' not strictly increasing");
-    }
-    prev_seq = m.at("seq").number;
-  }
-}
-
 /// dpnet.log.v1: schema header, then one leveled line per entry.
 void check_log(const std::vector<JsonValue>& records) {
   double prev_seq = -1.0;
@@ -461,7 +419,7 @@ std::vector<JsonValue> parse_lines(const std::string& text,
 
 void check_artifact(const std::string& text) {
   // Dispatch on the first line's schema: bench reports and ops snapshots
-  // are single-document files, flight dumps and ops logs are JSONL.
+  // are single-document files, ops logs are JSONL.
   const std::size_t eol = text.find('\n');
   const std::string first =
       eol == std::string::npos ? text : text.substr(0, eol);
@@ -475,18 +433,13 @@ void check_artifact(const std::string& text) {
     // belong to a (pretty-printed) bench report.
   }
 
-  if (schema == "dpnet.flight.v1" || schema == "dpnet.log.v1") {
+  if (schema == "dpnet.log.v1") {
     bool parse_ok = false;
     std::vector<JsonValue> lines = parse_lines(text, &parse_ok);
     if (!parse_ok || lines.empty()) return;
-    std::vector<JsonValue> records(
+    check_log(std::vector<JsonValue>(
         std::make_move_iterator(lines.begin() + 1),
-        std::make_move_iterator(lines.end()));
-    if (schema == "dpnet.flight.v1") {
-      check_flight(lines.front(), records);
-    } else {
-      check_log(records);
-    }
+        std::make_move_iterator(lines.end())));
     return;
   }
   if (schema == "dpnet.ops.v1") {

@@ -391,7 +391,7 @@ bool write_text_file(const std::string& path, const std::string& text) {
 /// SIGTERM sets a flag and interrupts the blocking stdin read (the
 /// handler is installed without SA_RESTART), so the serve loop falls
 /// through to its normal shutdown path: drain, final journal flush,
-/// final ops snapshot, flight-recorder dump.
+/// final ops snapshot.
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 extern "C" void handle_stop_signal(int) { g_stop_requested = 1; }
@@ -415,7 +415,7 @@ int cmd_serve(const std::vector<std::string>& args) {
               {"--budget", "--cap", "--threads", "--queue",
                "--analyst-queue", "--deadline-ms", "--max-rows", "--seed",
                "--max-sessions", "--journal", "--journal-capacity",
-               "--ledger", "--trace-out", "--flight", "--ops-snapshot",
+               "--ledger", "--trace-out", "--ops-snapshot",
                "--ops-snapshot-interval-ms", "--burn-alert-eta-s",
                "--ops-log", "--log-level"},
               {});
@@ -435,7 +435,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   cfg.journal_path = flag_value(args, "--journal", "");
   cfg.journal_capacity = static_cast<std::size_t>(
       u64_flag(args, "--journal-capacity", "262144"));
-  cfg.flight_path = flag_value(args, "--flight", "");
   cfg.ops_snapshot_path = flag_value(args, "--ops-snapshot", "");
   cfg.ops_snapshot_interval_ms =
       u64_flag(args, "--ops-snapshot-interval-ms", "1000");
@@ -467,7 +466,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   }
 
   // A SIGTERM interrupts the getline below (no SA_RESTART) and runs the
-  // same orderly shutdown as EOF — drain, flush, snapshot, flight dump.
+  // same orderly shutdown as EOF — drain, flush, snapshot.
   struct sigaction sa = {};
   sa.sa_handler = &handle_stop_signal;
   sigemptyset(&sa.sa_mask);
@@ -914,10 +913,9 @@ constexpr Subcommand kSubcommands[] = {
      "                   [--analyst-queue N] [--deadline-ms D] [--max-rows N]\n"
      "                   [--seed N] [--max-sessions N] [--journal PATH]\n"
      "                   [--journal-capacity N] [--ledger OUT.json]\n"
-     "                   [--trace-out OUT.json] [--flight PATH]\n"
-     "                   [--ops-snapshot PATH] [--ops-snapshot-interval-ms N]\n"
-     "                   [--burn-alert-eta-s S] [--ops-log PATH]\n"
-     "                   [--log-level L]",
+     "                   [--trace-out OUT.json] [--ops-snapshot PATH]\n"
+     "                   [--ops-snapshot-interval-ms N] [--ops-log PATH]\n"
+     "                   [--burn-alert-eta-s S] [--log-level L]",
      "serve mediated queries over line-delimited JSON on stdin",
      "  requests:  {\"id\":1,\"analyst\":\"alice\",\"query\":\"count\","
      "\"eps\":0.125}\n"
@@ -942,19 +940,17 @@ constexpr Subcommand kSubcommands[] = {
      "                    \"journal-full\" rather than drop events\n"
      "  --ledger OUT      write the merged audit ledger at shutdown\n"
      "  --trace-out OUT   write the server query trace at shutdown\n"
-     "  --flight PATH     flight-recorder black box: a dpnet.flight.v1\n"
-     "                    dump refreshed with every journal flush, on\n"
-     "                    fault, and at shutdown (kill -9 safe)\n"
      "  --ops-snapshot PATH  live dpnet.ops.v1 state file for\n"
      "                    `dpnet_cli top` (atomic replace, never torn)\n"
      "  --ops-snapshot-interval-ms N  snapshot cadence (default 1000)\n"
      "  --burn-alert-eta-s S  journal a budget.alert when an analyst's\n"
      "                    projected time-to-exhaustion drops below S\n"
      "                    seconds (default off)\n"
-     "  --ops-log PATH    structured dpnet.log.v1 ops log (default:\n"
-     "                    JSON lines on stderr)\n"
+     "  --ops-log PATH    structured dpnet.log.v1 ops log, flushed per\n"
+     "                    line (default: JSON lines on stderr)\n"
      "  --log-level L     debug|info|warn|error (default info; debug\n"
-     "                    logs every admission decision)\n",
+     "                    logs every admission decision, rate-limited\n"
+     "                    per kind with a \"suppressed\" count)\n",
      &cmd_serve},
     {"top",
      "<snapshot.json> [--json] [--watch] [--interval-ms N] [--count N]",

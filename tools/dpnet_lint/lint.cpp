@@ -301,9 +301,6 @@ class Analysis {
         // query-server ops metrics (src/serve/, docs/robustness.md)
         "serve.sessions.active", "serve.queue.depth",
         "serve.requests.rejected", "serve.requests.shed",
-        // flight recorder (src/core/obs/recorder.cpp): ring header plus
-        // moment records — kinds, causal labels, and counter values only
-        "moments",
         // structured ops log (src/core/obs/log.cpp): severity plus the
         // per-kind rate-limit suppression count
         "level", "suppressed",
