@@ -8,10 +8,10 @@
 // measure how well independent sessions fill the executor pool.
 //
 // The perf sweep runs without a journal; a separate audited pass (exact
-// rows only) enables the per-response journal flush and, when
-// DPNET_JOURNAL_DIR is set, leaves journal/ledger/trace artifacts for
-// `dpnet_cli audit verify` (tests/bench/test_serve_bench.sh gates on
-// them).
+// rows only) enables the per-response journal commit on a fresh journal
+// and, when DPNET_JOURNAL_DIR is set, leaves journal/ledger/trace
+// artifacts for `dpnet_cli audit verify` (tests/bench/test_serve_bench.sh
+// gates on them).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -155,8 +155,8 @@ int main() {
   }
   BenchReport::instance().set_throughput(headline_qps);
 
-  // Audited pass: per-response journal flush on, artifacts out.  Exact
-  // accounting rows only — the flush cost keeps it out of the perf
+  // Audited pass: per-response journal commit on, artifacts out.  Exact
+  // accounting rows only — the commit cost keeps it out of the perf
   // sweep above.
   section("audited");
   ServerConfig audited_cfg = bench_config();
@@ -168,6 +168,9 @@ int main() {
   audited_cfg.journal_path =
       (journal_dir.empty() ? std::string(".") : journal_dir) +
       "/journal.jsonl";
+  // The server replays a journal it finds; one left by an earlier run
+  // would carry that run's spend into this one's exact rows.
+  std::remove(audited_cfg.journal_path.c_str());
   {
     QueryServer server(trace, audited_cfg);
     std::uint64_t id = 0;

@@ -38,15 +38,18 @@
 //                          dequeue (detail: analyst name)
 //   serve.session.write    before a response frame is handed to the
 //                          session transport (detail: analyst name)
-//   obs.journal.flush      in EventJournal::flush_to_file, after the
-//                          temp file is durable and before it is
-//                          renamed over the journal path (detail: path)
+//   obs.journal.flush      in EventJournal::commit, before an appended
+//                          batch is written (a batch failing there is
+//                          not on disk afterwards); also between temp
+//                          durability and rename when the log's first
+//                          commit or flush_to_file publishes a whole
+//                          document (detail: path)
 //   obs.snapshot.publish   in OpsSnapshotWriter::maybe_write, after the
 //                          temp file is durable and before it is
 //                          renamed over the snapshot path (detail: path)
 //
-// (Both obs.* points fire inside obs::publish_atomically,
-// core/obs/publish.hpp, which the two writers share.)
+// (Whole-document publishes fire inside obs::publish_atomically,
+// core/obs/publish.hpp, which the writers share.)
 #pragma once
 
 #include <atomic>

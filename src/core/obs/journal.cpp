@@ -1,9 +1,16 @@
 #include "core/obs/journal.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
+#include "core/errors.hpp"
+#include "core/failpoint.hpp"
 #include "core/json.hpp"
 #include "core/metrics.hpp"
 #include "core/obs/publish.hpp"
@@ -42,12 +49,25 @@ std::string record_body(const Event& e, bool canonical,
   return body;
 }
 
+/// The header opens a document and counts the records that follow it.
 std::string header_body(std::uint64_t events, std::uint64_t dropped) {
   JsonWriter w;
   w.begin_object();
   w.key("schema").value("dpnet.events.v1");
   w.key("events").value(events);
   w.key("dropped").value(dropped);
+  w.end_object();
+  std::string body = w.str();
+  body.pop_back();
+  return body;
+}
+
+/// The closing line of an appended batch counts the batch's records, so
+/// a verifier can tell a complete batch from a torn one.
+std::string batch_close_body(std::uint64_t events) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("events").value(events);
   w.end_object();
   std::string body = w.str();
   body.pop_back();
@@ -63,6 +83,30 @@ void append_chained(std::string& out, const std::string& body,
   out += "\"}\n";
 }
 
+/// A header line followed by `events`, hash-chained from the offset
+/// basis; `chain` ends on the last line's link.
+std::string document(const std::vector<Event>& events,
+                     std::uint64_t dropped, bool canonical,
+                     std::uint64_t& chain) {
+  std::string out;
+  chain = kFnvOffset;
+  append_chained(out, header_body(events.size(), dropped), chain);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    append_chained(out, record_body(events[i], canonical, i), chain);
+  }
+  return out;
+}
+
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ::ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
 }  // namespace
 
 EventJournal& EventJournal::global() {
@@ -74,6 +118,8 @@ EventJournal::EventJournal(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(std::min<std::size_t>(capacity_, 1024));
 }
+
+EventJournal::~EventJournal() { close_log(); }
 
 void EventJournal::append(EventKind kind, std::string label,
                           std::uint64_t node_id, double eps,
@@ -90,6 +136,13 @@ void EventJournal::append(EventKind kind, std::string label,
   e.detail = std::move(detail);
   const std::lock_guard<std::mutex> lock(mutex_);
   e.seq = appended_++;
+  if (logging_) {
+    // The log is the record: the event waits for the next commit and
+    // never enters the ring, so a journaled server's memory does not
+    // grow with its event count.
+    queued_.push_back(std::move(e));
+    return;
+  }
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(e));
   } else {
@@ -145,25 +198,11 @@ std::size_t EventJournal::capacity() const {
   return capacity_;
 }
 
-void EventJournal::reserve(std::size_t capacity) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity <= capacity_) return;
-  // Linearize a wrapped ring before the bound moves: the oldest event
-  // must stay at index head_ == 0 once inserts start landing past the
-  // old capacity.
-  if (head_ != 0) {
-    std::rotate(ring_.begin(),
-                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
-                ring_.end());
-    head_ = 0;
-  }
-  capacity_ = capacity;
-}
-
 void EventJournal::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
   head_ = 0;
+  dropped_at_clear_ = dropped_;
 }
 
 std::string EventJournal::to_jsonl(bool canonical) const {
@@ -172,26 +211,103 @@ std::string EventJournal::to_jsonl(bool canonical) const {
   std::uint64_t dropped = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    dropped = dropped_;
+    dropped = dropped_ - dropped_at_clear_;
   }
-  std::string out;
-  std::uint64_t chain = kFnvOffset;
-  append_chained(out, header_body(snapshot.size(), dropped), chain);
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    append_chained(out, record_body(snapshot[i], canonical, i), chain);
-  }
-  return out;
+  std::uint64_t chain = 0;
+  return document(snapshot, dropped, canonical, chain);
 }
 
 void EventJournal::flush_to_file(const std::string& path,
                                  bool canonical) const {
-  // Crash-atomic replacement.  The journal file is the budget state of
-  // record for a restarted server: a flush interrupted at any instant
-  // (kill -9, power loss) must leave either the previous complete
-  // journal or the new one on disk — a truncated file would make
-  // recovery refuse startup, and the only operator remedy (deleting the
-  // journal) would refund every spent epsilon.
   publish_atomically(path, to_jsonl(canonical), "obs.journal.flush");
+}
+
+void EventJournal::open_log(const std::string& path) {
+  close_log();
+  const std::lock_guard<std::mutex> commit_lock(commit_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  log_path_ = path;
+  committed_ = appended_;
+  logging_ = true;
+}
+
+void EventJournal::close_log() {
+  const std::lock_guard<std::mutex> commit_lock(commit_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  logging_ = false;
+  queued_.clear();
+  if (log_fd_ >= 0) ::close(log_fd_);
+  log_fd_ = -1;
+  log_failed_ = false;
+}
+
+void EventJournal::commit() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!logging_) return;
+  const std::uint64_t wanted = appended_;
+  lock.unlock();
+
+  const std::lock_guard<std::mutex> commit_lock(commit_mutex_);
+  // Group commit: whoever held commit_mutex_ before us may have written
+  // our events already.  Until the first publish there is no file, so
+  // that commit always runs (a shutdown barrier creates the file).
+  if (log_fd_ >= 0 && committed_ >= wanted) return;
+  std::vector<Event> batch;
+  lock.lock();
+  if (!logging_) return;  // closed meanwhile
+  batch.swap(queued_);
+  const std::uint64_t covered = appended_;
+  lock.unlock();
+  if (log_failed_) {
+    throw DpError("journal " + log_path_ +
+                  " could not be cut back after a failed append");
+  }
+
+  try {
+    std::uint64_t chain = log_chain_;
+    if (log_fd_ < 0) {
+      // First commit of this log: one arrival-order document, published
+      // crash-atomically over whatever the path held.  It holds every
+      // event since open_log, so it never reports drops.
+      const std::string doc =
+          document(batch, /*dropped=*/0, /*canonical=*/false, chain);
+      publish_atomically(log_path_, doc, "obs.journal.flush");
+      const int fd =
+          ::open(log_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+      if (fd < 0) throw DpError("cannot open " + log_path_);
+      log_fd_ = fd;
+      log_bytes_ = doc.size();
+    } else if (!batch.empty()) {
+      std::string text;
+      for (const Event& e : batch) {
+        append_chained(text, record_body(e, /*canonical=*/false, 0), chain);
+      }
+      append_chained(text, batch_close_body(batch.size()), chain);
+      failpoint::hit("obs.journal.flush", log_path_);
+      if (!write_all(log_fd_, text) || ::fdatasync(log_fd_) != 0) {
+        // Cut the file back to its durable length so a retry appends
+        // right after the last complete batch.  If even that fails,
+        // every later commit fails too — nothing more is acknowledged —
+        // and recovery ignores the torn tail.
+        log_failed_ =
+            ::ftruncate(log_fd_, static_cast<::off_t>(log_bytes_)) != 0;
+        throw DpError("cannot append to " + log_path_);
+      }
+      log_bytes_ += text.size();
+    }
+    log_chain_ = chain;
+    committed_ = covered;
+  } catch (...) {
+    // The batch is not on disk: queue it again, ahead of anything
+    // appended meanwhile, for the next commit.
+    if (!log_failed_) {
+      lock.lock();
+      batch.insert(batch.end(), std::make_move_iterator(queued_.begin()),
+                   std::make_move_iterator(queued_.end()));
+      queued_ = std::move(batch);
+    }
+    throw;
+  }
 }
 
 namespace journal_detail {

@@ -5,14 +5,31 @@
 // and dies with the process; the data owner operating the paper's §3
 // mediated model also needs the *events* — refusals, guard aborts, task
 // lifecycle, injected faults, quarantined records — in a form that can be
-// flushed to disk, shipped off-box, and verified offline.  EventJournal
-// is that record: an append-only, bounded, lock-protected ring of
-// structured events, flushed as schema-versioned JSONL
-// ("dpnet.events.v1") whose records are FNV-1a hash-chained (the same
-// fingerprint idiom as dpnet-lint) so a single flipped byte breaks the
-// chain.  `dpnet_cli audit verify` replays a flushed journal and
-// reconciles its epsilon sums against the audit ledger and the query
-// trace (docs/observability.md).
+// made durable, shipped off-box, and verified offline.  EventJournal is
+// that record: a lock-protected ring of structured events, serialized as
+// schema-versioned JSONL ("dpnet.events.v1") whose lines are FNV-1a
+// hash-chained (the same fingerprint idiom as dpnet-lint) so a single
+// flipped byte breaks the chain.  `dpnet_cli audit verify` replays a
+// journal file and reconciles its epsilon sums against the audit ledger
+// and the query trace (docs/observability.md).
+//
+// Two ways onto disk, one line grammar:
+//
+//   * the offline flush (to_jsonl / flush_to_file) serializes the ring
+//     as one document: a header line counting the records that follow,
+//     then the records;
+//   * the durable log (open_log / commit) is what a long-lived server
+//     writes.  Its first commit publishes the same kind of document,
+//     crash-atomically; every later commit appends only the events
+//     emitted since, as a batch of records closed by a line that counts
+//     them, with one write() plus one fdatasync().  Concurrent commits
+//     group: a caller whose events another caller's fdatasync already
+//     covered returns without a syscall.
+//
+// Once a log is open the file, not the ring, is the record: events go
+// to the log's commit queue instead of the ring, which stays a bounded
+// read cache for `events()` and the offline flush of runs without a log
+// (and may evict).
 //
 // Determinism: the canonical flush stable-sorts events by their causal
 // key (plan-node id for charges/refusals, a salted task index for
@@ -20,7 +37,8 @@
 // wall-clock timestamps — so parallel runs of the same pipeline flush a
 // byte-identical canonical journal at any thread count, exactly like the
 // canonical audit ledger (docs/architecture.md).  The arrival-order
-// flush keeps timestamps and original sequence numbers for `audit tail`.
+// flush and the durable log keep timestamps and original sequence
+// numbers.
 //
 // Privacy stance: events carry accounting metadata only — kinds, labels,
 // node ids, epsilons, operator/mechanism names — never record contents.
@@ -28,9 +46,10 @@
 //
 // Overhead: emission sites compile down to one relaxed atomic load when
 // the journal is disarmed (set_journal_armed(false)); the armed cost is
-// one mutex-protected ring append per *event* (releases, tasks, faults —
-// never per record).  bench_micro_engine A/Bs both configurations under
-// the same <2% bound as the tracing layer (bench_schema_check).
+// one mutex-protected ring (or, with a log open, queue) append per
+// *event* (releases, tasks, faults — never per record).
+// bench_micro_engine A/Bs both configurations under the same <2% bound
+// as the tracing layer (bench_schema_check).
 #pragma once
 
 #include <atomic>
@@ -105,10 +124,11 @@ inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 /// plan-shape salts).
 inline constexpr std::uint64_t kTaskSalt = 0x6a6f75726e616c74ULL;
 
-/// Append-only bounded event ring.  All appends are serialized on one
-/// mutex; once full, the oldest event is overwritten and counted in
-/// dropped() — the journal degrades by forgetting history, never by
-/// blocking the engine.
+/// Bounded event ring plus an optional durable log.  All appends are
+/// serialized on one mutex; once the ring is full, the oldest event is
+/// overwritten and counted in dropped() — the ring degrades by
+/// forgetting history, never by blocking the engine.  While a log is
+/// open, events bypass the ring and queue for the log (see open_log).
 class EventJournal {
  public:
   static constexpr std::size_t kDefaultCapacity = 65536;
@@ -117,6 +137,10 @@ class EventJournal {
   static EventJournal& global();
 
   explicit EventJournal(std::size_t capacity = kDefaultCapacity);
+  ~EventJournal();
+
+  EventJournal(const EventJournal&) = delete;
+  EventJournal& operator=(const EventJournal&) = delete;
 
   void append(EventKind kind, std::string label, std::uint64_t node_id,
               double eps, std::string detail);
@@ -134,27 +158,57 @@ class EventJournal {
   [[nodiscard]] std::uint64_t dropped() const;
 
   /// Discards retained events (appended/dropped counters keep counting
-  /// from where they were; sequence numbers stay monotone).
+  /// from where they were; sequence numbers stay monotone).  Events an
+  /// open log has not committed yet stay queued for it.
   void clear();
 
-  /// Serializes the journal as hash-chained JSONL, schema
+  /// Serializes the ring as hash-chained JSONL, schema
   /// "dpnet.events.v1": a header line {"schema","events","dropped",
-  /// "chain"} followed by one record per line, each ending in a "chain"
-  /// field over every byte that precedes it (including all earlier
-  /// lines).  `canonical` (the default) emits the schedule-independent
-  /// ordering with renumbered seq and no timestamps — byte-identical
-  /// across thread counts for a fixed seed; arrival order keeps seq and
-  /// ts_us for tailing.
+  /// "chain"} — "dropped" counts the events evicted since the last
+  /// clear(), i.e. what this document is missing — followed by its
+  /// "events" records, one per line, each ending in a "chain" field over
+  /// every byte that precedes it (including all earlier lines).
+  /// `canonical` (the default) emits the
+  /// schedule-independent ordering with renumbered seq and no timestamps
+  /// — byte-identical across thread counts for a fixed seed; arrival
+  /// order keeps seq and ts_us for tailing.  The durable log's file
+  /// starts with the same kind of document (see open_log).
   [[nodiscard]] std::string to_jsonl(bool canonical = true) const;
 
-  /// Atomically replaces `path` with to_jsonl(): the document is written
-  /// to a same-directory temp file, fsynced, then rename()d over `path`,
-  /// so a crash at any instant leaves either the previous complete
-  /// journal or the new one — never a truncated hybrid (the journal file
-  /// is the budget state of record for crash recovery).  Throws DpError
-  /// on I/O failure; the `obs.journal.flush` failpoint fires between
-  /// durability and publication.
+  /// Atomically replaces `path` with to_jsonl() through
+  /// publish_atomically (temp file, fsync, rename): a crash at any
+  /// instant leaves either the previous complete document or the new
+  /// one.  Throws DpError on I/O failure; the `obs.journal.flush`
+  /// failpoint fires between durability and publication.
   void flush_to_file(const std::string& path, bool canonical = true) const;
+
+  /// Opens the durable log at `path` (replacing any log already open):
+  /// from now on every append is queued for commit() instead of entering
+  /// the ring.  Touches no file; the first commit does.
+  void open_log(const std::string& path);
+
+  /// Makes every event appended so far durable in the log (no-op when
+  /// none is open).  The first commit after open_log publishes the
+  /// queued events as one arrival-order document — header with
+  /// "dropped":0, then the records — crash-atomically over whatever
+  /// `path` held (so a restarted server compacts its file).  Later
+  /// commits append the events queued since as one batch:
+  ///
+  ///   {"seq":...,"kind":...,...,"chain":"..."}   x K
+  ///   {"events":K,"chain":"..."}
+  ///
+  /// with one write() and one fdatasync(); the closing line lets a
+  /// verifier tell a complete batch from a torn one.  Commits are
+  /// serialized, and a caller whose events an earlier caller's
+  /// fdatasync covered returns without a syscall (group commit).
+  /// Throws DpError on I/O failure; the `obs.journal.flush` failpoint
+  /// fires before a batch is written, and a batch that fails is not on
+  /// disk afterwards — its events stay queued for the next commit.
+  void commit();
+
+  /// Closes the log without committing (queued events are discarded,
+  /// the file keeps what earlier commits made durable).
+  void close_log();
 
   /// Events currently retained (at most capacity()).
   [[nodiscard]] std::size_t size() const;
@@ -163,13 +217,6 @@ class EventJournal {
   /// count in dropped().
   [[nodiscard]] std::size_t capacity() const;
 
-  /// Raises the ring bound to `capacity` (a smaller or equal request is
-  /// a no-op — the ring never shrinks, so retained events are never
-  /// discarded).  Long-lived servers size the ring up front and refuse
-  /// work that would make it drop, keeping the flushed journal a
-  /// complete record (serve::QueryServer).
-  void reserve(std::size_t capacity);
-
  private:
   mutable std::mutex mutex_;
   std::size_t capacity_;
@@ -177,6 +224,18 @@ class EventJournal {
   std::size_t head_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t dropped_ = 0;
+  std::uint64_t dropped_at_clear_ = 0;
+  // Durable log.  `logging_` and `queued_` are guarded by mutex_; the
+  // file state below by commit_mutex_, which serializes commits.
+  bool logging_ = false;
+  std::vector<Event> queued_;  // appended since the last commit took them
+  std::mutex commit_mutex_;
+  std::string log_path_;
+  int log_fd_ = -1;              // open for append once published
+  std::uint64_t log_bytes_ = 0;  // durable length of the file
+  std::uint64_t log_chain_ = 0;  // chain link of its last line
+  std::uint64_t committed_ = 0;  // appended() count the file covers
+  bool log_failed_ = false;      // a failed append could not be undone
 };
 
 namespace journal_detail {
@@ -263,6 +322,11 @@ inline void emit_budget_alert(std::string label, double remaining_eps) {
 struct JournalVerification {
   bool ok = false;
   std::string error;       // first failure ("" when ok), with line number
+  // The only failure is an incomplete final batch: records (or a partial
+  // line) after the last closing line, as a crash during an append
+  // leaves.  No response acknowledged them, so recovery replays the
+  // tallies below, which then cover the complete batches only.
+  bool torn_tail = false;
   std::size_t events = 0;  // records verified
   std::uint64_t dropped = 0;
   double charged_eps = 0.0;  // sum over charge events — must equal the
@@ -282,9 +346,10 @@ struct JournalVerification {
   std::uint64_t alerts = 0;  // budget.alert events (burn-rate forecasts)
 };
 
-/// Replays a flushed journal: validates the header, every record's
-/// shape, the seq numbering, and the full hash chain; tallies the event
-/// sums.  Never throws — structural problems come back as ok == false.
+/// Replays a journal document (offline flush or durable log): validates
+/// the header, every record's shape, the seq numbering, every batch's
+/// record count, and the full hash chain; tallies the event sums.  Never
+/// throws — structural problems come back as ok == false.
 [[nodiscard]] JournalVerification verify_journal_text(std::string_view text);
 
 /// verify_journal_text over the contents of `path` (unreadable file =>

@@ -1,5 +1,6 @@
-// Crash-atomic file publish: the one durability idiom behind the event
-// journal flush and the ops snapshot.
+// Crash-atomic file publish: the one whole-document durability idiom
+// behind the event journal's flushes (and its durable log's first,
+// compacting commit) and the ops snapshot.
 //
 // A reader (or a restart after kill -9 or power loss) must only ever see
 // the previous complete document or the new one, never a torn hybrid.

@@ -28,17 +28,11 @@ QueryServer::QueryServer(std::vector<net::Packet> records,
       root_(std::make_shared<core::RootBudget>(cfg_.dataset_budget)),
       pool_(std::max<std::size_t>(1, cfg_.threads)) {
   // The server claims the process-wide journal: the ring is cleared so
-  // every flush of journal_path reflects exactly this server's
-  // accounting (recovery charges included), nothing inherited from
-  // whatever ran earlier in the process.  The ring is sized up front —
-  // with a floor that always fits recovery's per-analyst charges plus
-  // one request — because a ring that drops an event can never be
-  // replayed; once retained events approach the bound, dispatch answers
-  // "journal-full" instead (drain_loop).
+  // it caches this server's events only, and — with a journal path — the
+  // durable log opens before recovery, so the first commit publishes
+  // recovery's charges plus everything since (a compacted file), and
+  // every later commit appends.
   core::obs::set_journal_armed(true);
-  core::obs::EventJournal::global().reserve(
-      std::max(cfg_.journal_capacity,
-               journal_headroom() + cfg_.max_sessions));
   core::obs::EventJournal::global().clear();
   // The burn tracker is claimed the same way: the forecasts reflect this
   // server's lifetime only.
@@ -49,7 +43,15 @@ QueryServer::QueryServer(std::vector<net::Packet> records,
         cfg_.ops_snapshot_path,
         std::chrono::milliseconds(cfg_.ops_snapshot_interval_ms));
   }
-  if (!cfg_.journal_path.empty()) recover_from_journal(cfg_.journal_path);
+  if (!cfg_.journal_path.empty()) {
+    core::obs::EventJournal::global().open_log(cfg_.journal_path);
+    try {
+      recover_from_journal(cfg_.journal_path);
+    } catch (...) {
+      core::obs::EventJournal::global().close_log();
+      throw;
+    }
+  }
   // Arm burn alerting only after recovery: replayed charges land in one
   // burst and would otherwise fire a spurious alert at every restart.
   if (cfg_.burn_alert_eta_s > 0.0) {
@@ -62,6 +64,11 @@ QueryServer::QueryServer(std::vector<net::Packet> records,
 
 QueryServer::~QueryServer() {
   drain();
+  // Nothing is committed on the way out: a destroyed server is a crash
+  // as far as the file knows (dpnet_cli commits at orderly shutdown).
+  if (!cfg_.journal_path.empty()) {
+    core::obs::EventJournal::global().close_log();
+  }
   // Final snapshot before the gauges drop: it describes the drained
   // server, not a mid-flight one.
   write_ops_snapshot(/*force=*/true);
@@ -82,10 +89,17 @@ void QueryServer::recover_from_journal(const std::string& path) {
   }
   const core::obs::JournalVerification v =
       core::obs::verify_journal_file(path);
-  if (!v.ok) {
+  if (!v.ok && !v.torn_tail) {
     // Budget state of record failed verification: starting with fresh
-    // budgets would refund whatever the tampered/truncated tail hid.
+    // budgets would refund whatever the tampered/truncated part hid.
     throw core::DpError("journal recovery refused: " + v.error);
+  }
+  if (v.torn_tail) {
+    // A crash mid-append: the batch after the last complete one was
+    // never made durable, so no response acknowledged its events.  The
+    // first commit republishes the file without it.
+    core::obs::log_event(core::obs::LogLevel::kWarn, "serve.recovered", {},
+                         0.0, "ignored incomplete final batch");
   }
   if (v.dropped != 0) {
     throw core::DpError("journal recovery refused: the journal ring "
@@ -247,47 +261,28 @@ void QueryServer::drain_loop() {
         static_cast<double>(queued_total_));
     session->running = true;
     ++running_total_;
-    // Ring-headroom check, under the lock so running_total_ is exact:
-    // every in-flight request (this one included) gets a reserved slice
-    // of the remaining ring, so concurrent executions can never jointly
-    // push the ring into dropping — a dropped event would make the
-    // flushed journal unreplayable and strand the next restart.
-    const core::obs::EventJournal& journal = core::obs::EventJournal::global();
-    const bool journal_full = journal.capacity() - journal.size() <
-                              journal_headroom() * running_total_;
     lock.unlock();
 
-    std::string response;
-    if (journal_full) {
-      // Not retryable: only an operator restart with a larger
-      // --journal-capacity clears it (recovery replays the spends, so
-      // the restart loses nothing).
-      core::builtin_metrics::serve_requests_shed().increment();
-      core::obs::log_event(core::obs::LogLevel::kWarn, "serve.shed",
-                           session->analyst, 0.0, "journal-full");
+    std::string response =
+        execute(*session, pending.request, pending.admitted);
+    try {
+      // Durability before acknowledgement: if the analyst observes a
+      // response, the charge behind it is already on disk.  Workers that
+      // finish together share one append (group commit).
+      flush_journal();
+    } catch (...) {
+      // The charge stands but could not be made durable; withhold the
+      // release value rather than hand out an answer a crash would
+      // disown.
+      core::obs::log_event(core::obs::LogLevel::kError, "serve.error",
+                           session->analyst, 0.0, "journal-flush");
       response = protocol::error_response(pending.request.id,
                                           session->analyst,
-                                          {"journal-full", false});
-    } else {
-      response = execute(*session, pending.request, pending.admitted);
-      try {
-        // Durability before acknowledgement: if the analyst observes a
-        // response, the charge behind it is already on disk.
-        flush_journal();
-      } catch (...) {
-        // The charge stands but could not be made durable; withhold the
-        // release value rather than hand out an answer a crash would
-        // disown.
-        core::obs::log_event(core::obs::LogLevel::kError, "serve.error",
-                             session->analyst, 0.0, "journal-flush");
-        response = protocol::error_response(pending.request.id,
-                                            session->analyst,
-                                            {"internal", false});
-      }
-      // The live snapshot is cadence-limited, so this is one clock read
-      // on most iterations.
-      write_ops_snapshot();
+                                          {"internal", false});
     }
+    // The live snapshot is cadence-limited, so this is one clock read on
+    // most iterations.
+    write_ops_snapshot();
     write_response(session->analyst, pending.sink, response);
 
     lock.lock();
@@ -300,10 +295,6 @@ void QueryServer::drain_loop() {
   }
   --drainers_;
   if (queued_total_ == 0 && running_total_ == 0) drained_cv_.notify_all();
-}
-
-std::size_t QueryServer::journal_headroom() const {
-  return 8 + 8 * pool_.size();
 }
 
 std::string QueryServer::execute(
@@ -346,10 +337,15 @@ std::string QueryServer::execute(
   rows_processed_.fetch_add(records_.size(), std::memory_order_relaxed);
   {
     // All scopes are closed by now (success or unwind), so the request's
-    // spans — including refused/aborted releases — merge cleanly into
-    // the server-wide trace.
+    // spans — including refused/aborted releases — join the server-wide
+    // trace whole; the oldest tree folds into the summary.
     const std::lock_guard<std::mutex> trace_lock(trace_mutex_);
-    trace_.merge_from(std::move(local));
+    recent_.push_back(std::move(local));
+    if (recent_.size() > kRecentTraces) {
+      folded_eps_ += recent_.front().total_eps_charged();
+      ++folded_requests_;
+      recent_.pop_front();
+    }
   }
   return response;
 }
@@ -446,13 +442,24 @@ std::string QueryServer::ledger_json() const {
 
 std::string QueryServer::trace_json() const {
   const std::lock_guard<std::mutex> lock(trace_mutex_);
-  return trace_.to_json();
+  core::QueryTrace out = trace_;
+  if (folded_requests_ != 0) {
+    core::QueryTrace folded;
+    {
+      const core::TraceSession session(folded);
+      core::TraceScope scope("serve.folded");
+      scope.set_detail(std::to_string(folded_requests_));
+      scope.set_eps(0.0, folded_eps_);
+    }
+    out.merge_from(std::move(folded));
+  }
+  for (core::QueryTrace request : recent_) out.merge_from(std::move(request));
+  return out.to_json();
 }
 
 void QueryServer::flush_journal() const {
   if (cfg_.journal_path.empty()) return;
-  const std::lock_guard<std::mutex> lock(journal_mutex_);
-  core::obs::EventJournal::global().flush_to_file(cfg_.journal_path);
+  core::obs::EventJournal::global().commit();
 }
 
 std::string QueryServer::ops_snapshot_json() const {

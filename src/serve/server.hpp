@@ -18,15 +18,13 @@
 // Admission places a request on its analyst's bounded FIFO; a full
 // analyst queue answers "backpressure" (serve.requests.rejected), a
 // full server-wide queue answers "overloaded" (serve.requests.shed),
-// a journal ring without headroom for another request's events answers
-// "journal-full" (also serve.requests.shed — the ring must never drop,
-// see below), and an admitted request that outlives its deadline is
-// aborted by its QueryGuard ("aborted:deadline"), which — by the
-// charge-before-release invariant — charges nothing.  The deadline
-// clock starts at admission, so time spent queued under backpressure
-// counts against it: the guard is constructed with whatever remains of
-// the deadline at dispatch (possibly nothing, in which case its first
-// checkpoint aborts before any charge).
+// and an admitted request that outlives its deadline is aborted by its
+// QueryGuard ("aborted:deadline"), which — by the charge-before-release
+// invariant — charges nothing.  The deadline clock starts at admission,
+// so time spent queued under backpressure counts against it: the guard
+// is constructed with whatever remains of the deadline at dispatch
+// (possibly nothing, in which case its first checkpoint aborts before
+// any charge).
 //
 // Dispatch is round-robin across analysts with AT MOST ONE in-flight
 // request per analyst.  That is a fairness policy and a determinism
@@ -39,18 +37,23 @@
 //
 // Crash safety: every charge and refusal is journaled through
 // src/core/obs/ with the analyst label as its causal key, and the
-// journal is flushed (atomically: temp file + fsync + rename) to disk
-// BEFORE the response frame is handed to the transport — if the analyst
-// saw an answer, the charge is durable.  On restart the server replays
-// the flushed journal (hash-chain verified; a tampered or truncated
-// journal refuses startup) and re-charges each analyst's spent epsilon
-// against fresh budgets: a crash can never refund budget.  Because a
-// journal whose ring dropped events can never be replayed, the server
-// sizes the ring from `journal_capacity` at startup and, when the ring
-// lacks headroom for every in-flight request's worst-case event
-// emission, refuses dispatch with "journal-full" instead of letting an
-// append overwrite history — a long-lived server degrades to explicit
-// refusals, never to an unrecoverable journal.  See "Crash-safe budget
+// journal file is an append-only log (EventJournal::open_log/commit).
+// After executing a request, its worker commits: the events emitted
+// since the last commit are appended as one batch with one write() and
+// one fdatasync(), and only then is the response frame handed to the
+// transport — if the analyst saw an answer, the charge is durable.
+// Workers that finish together share one append (group commit on the
+// pool threads: a worker whose events another worker's fdatasync
+// covered returns without a syscall).  The first commit of a server
+// lifetime publishes recovery's charges plus any new events
+// crash-atomically (temp file + fsync + rename), so every restart
+// compacts the file.  On restart the server replays the file (hash-chain
+// verified; a tampered or truncated journal refuses startup, except for
+// an incomplete final batch, which no response acknowledged) and
+// re-charges each analyst's spent epsilon against fresh budgets: a crash
+// can never refund budget.  The file, not the in-memory ring, is the
+// record: events bypass the ring while the log is open, so nothing about
+// the ring limits the server's lifetime.  See "Crash-safe budget
 // recovery" in docs/robustness.md.
 #pragma once
 
@@ -91,11 +94,6 @@ struct ServerConfig {
   std::string journal_path;  // durable journal; empty = in-memory only.
                              // If the file exists at startup it is
                              // verified and replayed (budget recovery).
-  std::size_t journal_capacity = std::size_t{1} << 18;
-      // Event-journal ring bound (events, not requests).  The server
-      // refuses dispatch with "journal-full" rather than let the ring
-      // drop — a dropped event would make the flushed journal
-      // unreplayable and strand the next restart.
   std::string ops_snapshot_path;  // live dpnet.ops.v1 snapshot for
                                   // `dpnet_cli top`; empty = off
   std::uint64_t ops_snapshot_interval_ms = 1000;  // snapshot cadence
@@ -120,14 +118,16 @@ class QueryServer {
   using ResponseSink = std::function<void(const std::string& line)>;
 
   /// Takes ownership of the trace and claims the process-wide event
-  /// journal: the ring is cleared so the journal file reflects exactly
-  /// this server's accounting, then — if `config.journal_path` names an
-  /// existing file — the previous incarnation's journal is verified and
-  /// replayed into fresh budgets.  Throws DpError when the journal
-  /// fails verification or a recovered spend no longer fits its cap.
+  /// journal: the ring is cleared, and with `config.journal_path` the
+  /// durable log opens (one journaled server per process) and — if the
+  /// path names an existing file — the previous incarnation's journal is
+  /// verified and replayed into fresh budgets.  No file is written until
+  /// the first commit.  Throws DpError when the journal fails
+  /// verification or a recovered spend no longer fits its cap.
   QueryServer(std::vector<net::Packet> records, ServerConfig config);
 
-  /// Drains in-flight work, then stops.
+  /// Drains in-flight work, then stops.  Commits nothing: call
+  /// flush_journal() first for an orderly shutdown.
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
@@ -162,13 +162,22 @@ class QueryServer {
   /// verify` reconciles it directly.
   [[nodiscard]] std::string ledger_json() const;
 
-  /// The server-wide query trace (recovery spans plus one root span per
-  /// executed request), canonical JSON.
+  /// The server-wide query trace, canonical JSON: the recovery spans,
+  /// one "serve.folded" span carrying the count (as its detail) and the
+  /// charged epsilon of requests older than the kRecentTraces most
+  /// recent, then one root span per recent request.  Its epsilon sum
+  /// covers every executed request, so it reconciles with the ledger and
+  /// the journal over any lifetime while its size stays bounded.
   [[nodiscard]] std::string trace_json() const;
 
-  /// Flushes the event journal to `journal_path` (no-op when unset).
-  /// Called automatically before every response that follows a charge
-  /// or refusal; exposed for a final flush at shutdown.
+  /// Request span trees trace_json() keeps in full.
+  static constexpr std::size_t kRecentTraces = 1024;
+
+  /// Commit barrier: makes every journal event emitted so far durable in
+  /// `journal_path` (no-op when unset; creates the file if no response
+  /// has yet).  Called automatically before every executed request's
+  /// response; exposed for a final commit at shutdown.  Throws DpError
+  /// on I/O failure.
   void flush_journal() const;
 
   /// The live ops document, schema "dpnet.ops.v1": queue depth,
@@ -210,12 +219,6 @@ class QueryServer {
   // Round-robin drainer body, run on pool workers.
   void drain_loop();
 
-  // Worst-case journal events one request may emit (task begin/end
-  // pairs across its parallel stages plus charge/refusal/abort/fault
-  // records); the dispatch-time ring-headroom check reserves this much
-  // per in-flight request.
-  [[nodiscard]] std::size_t journal_headroom() const;
-
   // Executes one request against its session; returns the response
   // frame.  `admitted` anchors the deadline (queue wait counts).  Never
   // throws — failures become sanitized error responses.
@@ -246,9 +249,10 @@ class QueryServer {
   std::size_t drainers_ = 0;
 
   mutable std::mutex trace_mutex_;
-  core::QueryTrace trace_;
-
-  mutable std::mutex journal_mutex_;  // serializes file flushes
+  core::QueryTrace trace_;               // recovery spans
+  std::deque<core::QueryTrace> recent_;  // the latest request span trees
+  std::uint64_t folded_requests_ = 0;    // older requests, summarized
+  double folded_eps_ = 0.0;
 
   std::vector<RecoveredBudget> recovered_;
 

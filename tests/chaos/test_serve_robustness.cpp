@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
@@ -405,6 +406,40 @@ TEST(ServeRobustness, MultiAnalystBooksReconcileAcrossThreadCounts) {
   }
 }
 
+// A long-lived server's trace stays bounded: requests older than the
+// kRecentTraces most recent fold into one "serve.folded" span with their
+// count and charged epsilon, so the trace's epsilon sum still covers
+// every request exactly.
+TEST(ServeRobustness, TraceFoldsOldRequestsAndStillReconciles) {
+  ServerConfig cfg;
+  cfg.dataset_budget = 64.0;
+  cfg.analyst_cap = 64.0;
+  cfg.threads = 2;
+  cfg.queue_capacity = 4096;
+  cfg.analyst_queue_capacity = 4096;
+  QueryServer server(canary_trace(), cfg);
+  constexpr std::size_t kExtra = 100;
+  ResponseLog log;
+  for (std::uint64_t id = 1; id <= QueryServer::kRecentTraces + kExtra;
+       ++id) {
+    server.submit_frame(request_line(id, "alice", "count", 0.015625),
+                        log.sink());
+  }
+  server.drain();
+  EXPECT_DOUBLE_EQ(server.dataset_spent(),
+                   0.015625 * (QueryServer::kRecentTraces + kExtra));
+
+  const core::JsonValue doc = core::parse_json(server.trace_json());
+  const std::vector<core::JsonValue>& spans = doc.find("spans")->array;
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.front().find("op")->string, "serve.folded");
+  EXPECT_EQ(spans.front().find("detail")->string, std::to_string(kExtra));
+  EXPECT_DOUBLE_EQ(spans.front().find("eps_charged")->number,
+                   0.015625 * kExtra);
+  EXPECT_DOUBLE_EQ(trace_sum_json(server.trace_json()),
+                   server.dataset_spent());
+}
+
 // --- injected dispatch/write faults --------------------------------------
 
 // An injected fault at serve.dispatch answers "internal" (sanitized, no
@@ -501,35 +536,67 @@ TEST(ServeRobustness, HostileNumericFieldsAreBoundedBeforeCast) {
   EXPECT_NE(log.by_id().at(2).find("\"status\":\"ok\""), std::string::npos);
 }
 
-// --- journal ring headroom ------------------------------------------------
+// --- no journal cliff -----------------------------------------------------
 
-// When the journal ring lacks headroom for another request's events,
-// dispatch refuses with "journal-full" instead of letting an append
-// overwrite history: the ring never drops, so a long-lived server's
-// flushed journal stays replayable forever (no availability cliff whose
-// only escape would refund budget).
-TEST(ServeRobustness, JournalFullRefusesDispatchBeforeRingDrops) {
+// The journal file, not the ring, is the record: once the global ring
+// has been filled past its capacity (it just evicts), a journaled server
+// still answers every request ok, and its file verifies and replays
+// exactly across chained restarts.  Nothing written to the file may
+// carry the ring's lifetime eviction count — recovery refuses a journal
+// that reports drops.
+TEST(ServeRobustness, FullRingNeitherRefusesNorStrandsTheJournal) {
+  const std::string path = ::testing::TempDir() + "/serve_no_cliff.jsonl";
+  std::remove(path.c_str());
   ServerConfig cfg;
-  cfg.threads = 1;
-  QueryServer server(canary_trace(), cfg);  // clears the ring
-
+  cfg.threads = 4;
+  cfg.journal_path = path;
   core::obs::EventJournal& journal = core::obs::EventJournal::global();
   const std::uint64_t dropped_before = journal.dropped();
-  // Fill the ring until less than one request's headroom remains
-  // (journal_headroom() is 8 + 8 * threads = 16 here).
-  while (journal.capacity() - journal.size() >= 16) {
+  for (std::size_t i = 0; i < journal.capacity() + 16; ++i) {
     core::obs::emit_task_begin(0);
   }
+  ASSERT_GT(journal.dropped(), dropped_before);
 
-  ResponseLog log;
-  server.submit_frame(request_line(1, "alice", "count", 0.25), log.sink());
-  server.drain();
-  EXPECT_EQ(error_code(log.by_id().at(1)), "journal-full");
-  // The refusal charged nothing and — the point — the ring never
-  // dropped an event.
-  EXPECT_DOUBLE_EQ(server.dataset_spent(), 0.0);
-  EXPECT_EQ(journal.dropped(), dropped_before);
-  journal.clear();  // don't leave a full ring for later tests
+  double spent = 0.0;
+  {
+    QueryServer server(canary_trace(), cfg);
+    // Submitted together, so the workers' commits contend and group.
+    ResponseLog log;
+    for (std::uint64_t id = 1; id <= 8; ++id) {
+      server.submit_frame(
+          request_line(id, id % 2 == 0 ? "alice" : "bob", "count", 0.125),
+          log.sink());
+    }
+    server.drain();
+    ASSERT_EQ(log.size(), 8u);
+    for (const auto& [id, line] : log.by_id()) {
+      EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos)
+          << "id " << id << ": " << line;
+    }
+    spent = server.dataset_spent();
+    EXPECT_DOUBLE_EQ(spent, 1.0);
+    const core::obs::JournalVerification v =
+        core::obs::verify_journal_file(path);
+    ASSERT_TRUE(v.ok) << v.error;
+    EXPECT_EQ(v.dropped, 0u);
+    EXPECT_EQ(v.charges, 8u);
+    EXPECT_DOUBLE_EQ(v.charged_eps, spent);
+  }
+
+  // Chained restarts: the first republishes (compacts) the file, the
+  // second replays that file.
+  for (int restart = 0; restart < 2; ++restart) {
+    QueryServer again(canary_trace(), cfg);
+    EXPECT_DOUBLE_EQ(again.dataset_spent(), spent) << "restart " << restart;
+    EXPECT_DOUBLE_EQ(again.analyst_spent("alice"), 0.5);
+    EXPECT_DOUBLE_EQ(again.analyst_spent("bob"), 0.5);
+    again.flush_journal();
+    const core::obs::JournalVerification v =
+        core::obs::verify_journal_file(path);
+    ASSERT_TRUE(v.ok) << v.error << " (restart " << restart << ")";
+    EXPECT_EQ(v.dropped, 0u);
+    EXPECT_DOUBLE_EQ(v.charged_eps, again.dataset_spent());
+  }
 }
 
 // --- the deadline covers queue wait ---------------------------------------

@@ -102,6 +102,25 @@ grep '"id":12' "$WORK/resp2" | grep -q '"status":"ok"'
 grep '"kind":"serve.stopped"' "$WORK/err2" | grep -q '"eps":1.5'
 "$CLI" audit verify "$WORK/j.jsonl" | grep -q "journal ok"
 
+echo "== the appended journal tails and still detects truncation =="
+# The restart published recovery's charges, then appended one batch per
+# response; tail shows event records only, never the batch closing lines.
+"$CLI" audit tail "$WORK/j.jsonl" --last 3 --json >"$WORK/tail3"
+[ "$(wc -l <"$WORK/tail3")" -eq 3 ] || {
+  echo "expected 3 tailed events" >&2
+  cat "$WORK/tail3" >&2
+  exit 1
+}
+[ "$(grep -c '"kind"' "$WORK/tail3")" -eq 3 ]
+sed '$d' "$WORK/j.jsonl" >"$WORK/j.cut.jsonl"
+rc=0
+"$CLI" audit verify "$WORK/j.cut.jsonl" >/dev/null 2>"$WORK/err.cut" || rc=$?
+[ "$rc" -eq 1 ] || {
+  echo "expected exit 1 for a journal missing its final line, got $rc" >&2
+  exit 1
+}
+grep -q "truncated" "$WORK/err.cut"
+
 echo "== a tampered journal refuses startup =="
 python3 -c "
 data = bytearray(open('$WORK/j.jsonl', 'rb').read())

@@ -414,10 +414,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   check_flags("serve", args,
               {"--budget", "--cap", "--threads", "--queue",
                "--analyst-queue", "--deadline-ms", "--max-rows", "--seed",
-               "--max-sessions", "--journal", "--journal-capacity",
-               "--ledger", "--trace-out", "--ops-snapshot",
-               "--ops-snapshot-interval-ms", "--burn-alert-eta-s",
-               "--ops-log", "--log-level"},
+               "--max-sessions", "--journal", "--ledger", "--trace-out",
+               "--ops-snapshot", "--ops-snapshot-interval-ms",
+               "--burn-alert-eta-s", "--ops-log", "--log-level"},
               {});
   serve::ServerConfig cfg;
   cfg.dataset_budget = double_flag(args, "--budget", "8");
@@ -433,8 +432,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   cfg.max_sessions =
       static_cast<std::size_t>(u64_flag(args, "--max-sessions", "16"));
   cfg.journal_path = flag_value(args, "--journal", "");
-  cfg.journal_capacity = static_cast<std::size_t>(
-      u64_flag(args, "--journal-capacity", "262144"));
   cfg.ops_snapshot_path = flag_value(args, "--ops-snapshot", "");
   cfg.ops_snapshot_interval_ms =
       u64_flag(args, "--ops-snapshot-interval-ms", "1000");
@@ -711,15 +708,26 @@ int cmd_audit(const std::vector<std::string>& args) {
       std::fprintf(stderr, "error: %s is empty\n", path.c_str());
       return 1;
     }
-    // Skip the header line; show the most recent `last` records.
-    const std::size_t records = lines.size() - 1;
-    const std::size_t first = 1 + (records > last ? records - last : 0);
-    for (std::size_t i = first; i < lines.size(); ++i) {
+    // The most recent `last` event records, oldest first.  The header,
+    // batch closing lines, and a torn final line are not events.
+    std::vector<std::pair<const std::string*, core::JsonValue>> tail;
+    for (auto it = lines.rbegin(); it != lines.rend() && tail.size() < last;
+         ++it) {
+      try {
+        core::JsonValue rec = core::parse_json(*it);
+        if (rec.is_object() && rec.find("kind") != nullptr) {
+          tail.emplace_back(&*it, std::move(rec));
+        }
+      } catch (const core::JsonParseError&) {
+        // a line cut short by a crash: not an event
+      }
+    }
+    for (auto it = tail.rbegin(); it != tail.rend(); ++it) {
       if (want_json) {
-        std::printf("%s\n", lines[i].c_str());
+        std::printf("%s\n", it->first->c_str());
         continue;
       }
-      const core::JsonValue rec = core::parse_json(lines[i]);
+      const core::JsonValue& rec = it->second;
       const auto num = [&rec](const char* field) {
         const core::JsonValue* f = rec.find(field);
         return (f != nullptr && f->is_number()) ? f->number : 0.0;
@@ -912,10 +920,9 @@ constexpr Subcommand kSubcommands[] = {
      "<in> [--budget B] [--cap C] [--threads T] [--queue N]\n"
      "                   [--analyst-queue N] [--deadline-ms D] [--max-rows N]\n"
      "                   [--seed N] [--max-sessions N] [--journal PATH]\n"
-     "                   [--journal-capacity N] [--ledger OUT.json]\n"
-     "                   [--trace-out OUT.json] [--ops-snapshot PATH]\n"
-     "                   [--ops-snapshot-interval-ms N] [--ops-log PATH]\n"
-     "                   [--burn-alert-eta-s S] [--log-level L]",
+     "                   [--ledger OUT.json] [--trace-out OUT.json]\n"
+     "                   [--ops-snapshot PATH] [--ops-snapshot-interval-ms N]\n"
+     "                   [--ops-log PATH] [--burn-alert-eta-s S] [--log-level L]",
      "serve mediated queries over line-delimited JSON on stdin",
      "  requests:  {\"id\":1,\"analyst\":\"alice\",\"query\":\"count\","
      "\"eps\":0.125}\n"
@@ -932,12 +939,12 @@ constexpr Subcommand kSubcommands[] = {
      "  --max-rows N      per-request work quota in rows (default off)\n"
      "  --seed N          noise seed base (default 42)\n"
      "  --max-sessions N  distinct analyst principals (default 16)\n"
-     "  --journal PATH    durable event journal: flushed before every\n"
-     "                    response; verified and replayed at startup for\n"
-     "                    crash-safe budget recovery\n"
-     "  --journal-capacity N  event-journal ring bound (default 262144);\n"
-     "                    when the ring lacks headroom, dispatch answers\n"
-     "                    \"journal-full\" rather than drop events\n"
+     "  --journal PATH    durable event journal, append-only: each\n"
+     "                    response waits until its events are appended\n"
+     "                    and fdatasync'ed (workers finishing together\n"
+     "                    share one append); verified and replayed at\n"
+     "                    startup for crash-safe budget recovery, which\n"
+     "                    also compacts the file\n"
      "  --ledger OUT      write the merged audit ledger at shutdown\n"
      "  --trace-out OUT   write the server query trace at shutdown\n"
      "  --ops-snapshot PATH  live dpnet.ops.v1 state file for\n"
