@@ -25,9 +25,9 @@
 //
 // Failpoint names compiled into the engine:
 //
-//   plan.materialize       before a plan node's compute (detail: op name)
+//   plan.materialize       at a plan node's first evaluation (detail: op name)
 //   exec.worker_task       before an executor task runs
-//   core.release.charge    before an aggregation charges the budget
+//   core.release.charge    before any release charges the budget
 //                          (detail: mechanism)
 //   net.trace_io.read      when a trace read opens a container; rearms
 //                          per retry attempt, driving the bounded-retry

@@ -4,10 +4,20 @@
 // charging, and trace emission in one closure chain.  The plan layer
 // separates the *what* from the *when*: each transformation builds a
 // plan::Node carrying the operator name, its stability factor, a stable
-// node id, and a deferred batch compute over its inputs' row buffers.
-// Executors (sequential aggregation calls or core::exec workers) then
-// materialize nodes on demand; materialization stays memoized and
-// thread-safe, so the same node evaluated from two workers runs once.
+// node id, and a deferred body over its inputs.  Executors (sequential
+// aggregation calls or core::exec workers) then evaluate nodes on demand;
+// evaluation is thread-safe, so the same node demanded from two workers
+// records its span and charges its rows once.
+//
+// Fused narrow operators (docs/architecture.md, "Fused narrow
+// operators"): where/select/select_many nodes are *narrow* — their body
+// streams output rows into a per-row sink instead of returning a buffer.
+// The operator consuming a narrow node (an aggregation, a wide operator,
+// partition) drives the whole chain in one pass with Node::scan, so no
+// intermediate row is copied.  Rows are stored only at sources, at wide
+// operators (group_by, distinct, join, concat, the set ops), for rows()
+// callers that need them addressable, and for a narrow node demanded a
+// second time — so a shared narrow node runs its chain at most twice.
 //
 // Node ids are the determinism anchor (see docs/architecture.md):
 //
@@ -28,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,7 +57,7 @@ inline constexpr NodeId kRootSalt = 0x706c616e726f6f74ULL;     // "planroot"
 inline constexpr NodeId kReleaseSalt = 0x72656c65617365ULL;    // "release"
 
 /// Type-erased plan node: identity, operator metadata, and DAG edges.
-/// The typed row buffer lives in the Node<T> subclass.
+/// The typed rows live in the Node<T> subclass.
 class NodeBase {
  public:
   NodeBase(NodeId id, std::string op, double op_stability,
@@ -65,14 +76,20 @@ class NodeBase {
   [[nodiscard]] const std::string& op() const { return op_; }
   [[nodiscard]] double op_stability() const { return op_stability_; }
 
-  /// True once the row buffer has been computed (or was supplied eagerly).
+  /// True once the node has been evaluated (its span recorded and its
+  /// rows charged), whether or not it kept its rows; sources are
+  /// evaluated from construction.
   [[nodiscard]] bool materialized() const {
     return materialized_.load(std::memory_order_acquire);
   }
 
-  /// Live upstream nodes.  Edges are weak so a parent's row buffer can be
-  /// freed once every consumer has materialized (the pre-plan engine had
-  /// the same behavior by dropping compute closures).
+  /// True when the node holds a row buffer: sources, evaluated wide
+  /// operators, and narrow operators demanded twice or through rows().
+  [[nodiscard]] virtual bool holds_rows() const = 0;
+
+  /// Live upstream nodes.  Edges are weak so a parent's rows can be freed
+  /// once every consumer holds what it needs (a node drops its body, and
+  /// with it the captured parents, once it stores its own rows).
   [[nodiscard]] std::vector<std::shared_ptr<const NodeBase>> inputs() const {
     std::vector<std::shared_ptr<const NodeBase>> live;
     live.reserve(inputs_.size());
@@ -101,7 +118,7 @@ class NodeBase {
   }
 
   /// Indented rendering of the reachable DAG (operator, short id, and a
-  /// '*' marker on materialized nodes).  Diagnostic only.
+  /// '*' marker on evaluated nodes).  Diagnostic only.
   [[nodiscard]] std::string describe() const {
     std::string out;
     describe_into(out, 0);
@@ -138,87 +155,225 @@ class NodeBase {
   std::atomic<bool> materialized_{false};
 };
 
-/// A typed plan node: a lazily-computed, memoized batch row buffer.
-/// Materialization is thread-safe (std::call_once), so executor workers
-/// may race to force a shared node and exactly one compute runs.
+/// Non-owning reference to a per-row callback: the sink a fused scan
+/// pushes rows into.  One indirect call per row and no allocation; the
+/// referenced callable must outlive the scan.
+template <typename T>
+class RowSink {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, RowSink>)
+  explicit RowSink(F& f) noexcept
+      : target_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* target, const T& row) {
+          (*static_cast<F*>(target))(row);
+        }) {}
+
+  void operator()(const T& row) const { call_(target_, row); }
+
+ private:
+  void* target_;
+  void (*call_)(void*, const T&);
+};
+
+/// A typed plan node.  Three kinds share it:
+///
+///   source  — holds an immutable, shareable row buffer from construction;
+///   narrow  — a Stream body (where/select/select_many) that pushes its
+///             output rows into a sink; scan() fuses it into its consumer;
+///   wide    — a Compute body that builds and stores its output rows.
+///
+/// Every node is evaluated exactly once in the accounting sense: its
+/// first evaluation checkpoints the guard, hits the plan.materialize
+/// failpoint, records its span (op, stability, input and output rows),
+/// observes op.wall_ms.<kind> and charges its rows to the guard.  A
+/// narrow node remembers its output row count, so count() never re-runs
+/// it; its second demand for rows re-runs its chain once more, silently,
+/// to store them, and every later demand reads them.
 template <typename T>
 class Node final : public NodeBase {
  public:
-  /// Eager source node (protected datasets, partition parts).
-  Node(NodeId id, std::string op, std::vector<T> rows)
+  using Rows = std::vector<T>;
+  /// Narrow body: pushes every output row into the sink and returns the
+  /// number of input rows it read.  Receives the node's id so analyst
+  /// callbacks can be contained per row under this node's name.
+  using Stream = std::function<std::size_t(NodeId, RowSink<T>)>;
+  /// Wide body: returns the output rows and reports the input row count.
+  using Compute = std::function<Rows(std::size_t& input_rows)>;
+
+  /// Source node (protected datasets, partition parts): shares `rows`.
+  Node(NodeId id, std::string op, std::shared_ptr<const Rows> rows)
       : NodeBase(id, std::move(op), 1.0), rows_(std::move(rows)) {
-    std::call_once(once_, [] {});
+    held_.store(rows_.get(), std::memory_order_release);
     mark_materialized();
   }
 
-  /// Derived node: `compute` runs once on first demand.  `input_size` is
-  /// only consulted for the trace span, after compute (when the parents
-  /// are guaranteed materialized).
-  Node(NodeId id, std::string op, double op_stability,
-       std::function<std::vector<T>()> compute,
-       std::function<std::size_t()> input_size,
+  /// Narrow node: `stream` runs on demand, fused into its consumer.
+  Node(NodeId id, std::string op, double op_stability, Stream stream,
+       std::vector<std::weak_ptr<const NodeBase>> inputs)
+      : NodeBase(id, std::move(op), op_stability, std::move(inputs)),
+        stream_(std::move(stream)),
+        traced_(tracing_armed()) {}
+
+  /// Wide node: `compute` runs once, on first demand, and its rows stay.
+  Node(NodeId id, std::string op, double op_stability, Compute compute,
        std::vector<std::weak_ptr<const NodeBase>> inputs)
       : NodeBase(id, std::move(op), op_stability, std::move(inputs)),
         compute_(std::move(compute)),
-        input_size_(std::move(input_size)),
         traced_(tracing_armed()) {}
 
-  /// The node's row buffer, computing it on first call.  When the forcing
-  /// thread has an active trace and the pipeline was built armed, the
-  /// materialization records an operator span — nested under whatever
-  /// span forced it, exactly like the pre-plan engine.
-  ///
-  /// Fault containment (docs/robustness.md): the compute — which runs
-  /// analyst-supplied predicates/selectors — executes inside
-  /// contain_analyst, so a throwing UDF surfaces as a sanitized
-  /// AnalystCodeError naming only this operator and node id.  An active
-  /// QueryGuard is checkpointed before the compute and charged with the
-  /// produced row count after it; a throwing checkpoint leaves the
-  /// once-flag unset, so an aborted node can be re-forced later.
-  const std::vector<T>& rows() {
-    std::call_once(once_, [this] {
-      guard_checkpoint(op().c_str(), id());
-      // Materialization checkpoint: the operator's wall time feeds the
-      // per-kind op.wall_ms.<kind> latency histogram whether or not a
-      // trace is recording (one observe per node, never per record).
-      const auto op_t0 = std::chrono::steady_clock::now();
-      if (traced_ && active_trace() != nullptr) {
-        TraceScope scope(op());
-        scope.set_stability(op_stability());
-        rows_ = contained_compute();
-        scope.set_rows(static_cast<std::int64_t>(input_size_()),
-                       static_cast<std::int64_t>(rows_.size()));
-      } else {
-        rows_ = contained_compute();
+  /// The row buffer this node holds, or nullptr.  Never evaluates.
+  [[nodiscard]] const Rows* held_rows() const {
+    return held_.load(std::memory_order_acquire);
+  }
+
+  [[nodiscard]] bool holds_rows() const override {
+    return held_rows() != nullptr;
+  }
+
+  /// The node's rows, storing them first if the node holds none yet.
+  /// For callers that need rows addressable (the parallel group_by's
+  /// chunks, join's build side, data_unsafe()).
+  const Rows& rows() {
+    if (const Rows* held = held_rows()) return *held;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (held_rows() == nullptr) store_locked();
+    return *held_rows();
+  }
+
+  /// The node's output row count.  A narrow node that has run its fused
+  /// pass remembers the count, so counting it again re-runs nothing.
+  std::size_t count() {
+    const Rows* held = held_rows();
+    if (held == nullptr) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (held_rows() == nullptr && stream_) {
+        return materialized() ? out_rows_ : first_fused_pass(kDiscard);
       }
-      builtin_metrics::observe_op_wall_ms(
-          op(), std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - op_t0)
-                    .count());
-      guard_charge_rows(rows_.size(), op().c_str(), id());
-      compute_ = nullptr;  // release captured parents once materialized
-      input_size_ = nullptr;
-      mark_materialized();
-    });
-    return rows_;
+      if (held_rows() == nullptr) store_locked();
+      held = held_rows();
+    }
+    return held->size();
+  }
+
+  /// Calls `f(row)` for every output row, in order, and returns the row
+  /// count.  A node holding rows is read in place; an unevaluated narrow
+  /// node runs its chain fused into `f` (its first evaluation), storing
+  /// nothing; any other node stores its rows first (see rows()).
+  ///
+  /// Fault containment (docs/robustness.md): `f` runs inside the
+  /// upstream narrow nodes' loops, which contain only their own analyst
+  /// callbacks — a throwing `f` reaches the caller's containment boundary
+  /// unrenamed, and a throwing upstream predicate is named after its own
+  /// operator and node id.
+  template <typename F>
+  std::size_t scan(F&& f) {
+    const Rows* held = held_rows();
+    if (held == nullptr) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (held_rows() == nullptr) {
+        if (stream_ && !materialized()) return first_fused_pass(f);
+        store_locked();
+      }
+      held = held_rows();
+    }
+    for (const T& row : *held) f(row);
+    return held->size();
   }
 
  private:
-  /// Runs the deferred compute inside the analyst-exception containment
-  /// boundary, with the plan.materialize failpoint armed for chaos tests
-  /// (an injected throw is indistinguishable from a throwing UDF).
-  [[nodiscard]] std::vector<T> contained_compute() {
-    return contain_analyst(op().c_str(), id(), [this] {
-      failpoint::hit("plan.materialize", op());
-      return compute_();
+  /// Narrow node, first demand (mutex held): streams straight into the
+  /// consumer's `sink` under the full evaluation bookkeeping.
+  template <typename F>
+  std::size_t first_fused_pass(F& sink) {
+    std::size_t out_rows = 0;
+    auto counted = [&out_rows, &sink](const T& row) {
+      ++out_rows;
+      sink(row);
+    };
+    evaluate([&] {
+      const std::size_t in_rows = stream_(id(), RowSink<T>(counted));
+      return std::pair<std::size_t, std::size_t>{in_rows, out_rows};
     });
+    out_rows_ = out_rows;
+    return out_rows;
   }
 
-  std::once_flag once_;
-  std::function<std::vector<T>()> compute_;
-  std::function<std::size_t()> input_size_;
+  /// Stores the node's rows (mutex held).  A first evaluation runs under
+  /// the full bookkeeping; a narrow node's second demand only re-runs
+  /// its chain, since its span, guard charge, failpoint and wall-time
+  /// observation already happened.  Dropping the body afterwards
+  /// releases the captured parents.
+  void store_locked() {
+    auto rows = std::make_shared<Rows>();
+    const auto fill = [this, &rows] {
+      return contain_analyst(op().c_str(), id(), [this, &rows] {
+        std::size_t in_rows = 0;
+        if (compute_) {
+          *rows = compute_(in_rows);
+        } else {
+          auto keep = [&rows](const T& row) { rows->push_back(row); };
+          in_rows = stream_(id(), RowSink<T>(keep));
+        }
+        return std::pair<std::size_t, std::size_t>{in_rows, rows->size()};
+      });
+    };
+    if (materialized()) {
+      fill();
+    } else {
+      evaluate(fill);
+    }
+    rows_ = std::move(rows);
+    stream_ = nullptr;
+    compute_ = nullptr;
+    held_.store(rows_.get(), std::memory_order_release);
+  }
+
+  /// First-evaluation bookkeeping around `body` (which returns its input
+  /// and output row counts): guard checkpoint, operator span nested under
+  /// whatever span demanded the node, the plan.materialize failpoint
+  /// inside the containment boundary (an injected throw is
+  /// indistinguishable from a throwing UDF), op.wall_ms.<kind> (one
+  /// observation per node, never per record), then the guard's row
+  /// charge.  A throw anywhere leaves the node unevaluated, so an aborted
+  /// node can be demanded again later.
+  template <typename Body>
+  void evaluate(const Body& body) {
+    guard_checkpoint(op().c_str(), id());
+    const auto op_t0 = std::chrono::steady_clock::now();
+    const auto run = [&] {
+      contain_analyst(op().c_str(), id(),
+                      [this] { failpoint::hit("plan.materialize", op()); });
+      return body();
+    };
+    std::size_t out_rows = 0;
+    if (traced_ && active_trace() != nullptr) {
+      TraceScope scope(op());
+      scope.set_stability(op_stability());
+      const auto [in, out] = run();
+      scope.set_rows(static_cast<std::int64_t>(in),
+                     static_cast<std::int64_t>(out));
+      out_rows = out;
+    } else {
+      out_rows = run().second;
+    }
+    builtin_metrics::observe_op_wall_ms(
+        op(), std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - op_t0)
+                  .count());
+    guard_charge_rows(out_rows, op().c_str(), id());
+    mark_materialized();
+  }
+
+  static constexpr auto kDiscard = [](const T&) {};
+
+  std::mutex mutex_;  // serializes evaluation; held rows are immutable
+  std::size_t out_rows_ = 0;  // a fused pass's output count (mutex_)
+  std::atomic<const Rows*> held_{nullptr};
+  std::shared_ptr<const Rows> rows_;
+  Stream stream_;
+  Compute compute_;
   bool traced_ = false;
-  std::vector<T> rows_;
 };
 
 }  // namespace dpnet::core::plan

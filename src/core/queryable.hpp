@@ -18,10 +18,12 @@
 // Execution architecture (docs/architecture.md): a Queryable is a thin
 // fluent handle over a logical plan node (core/plan.hpp) plus the charge
 // list and noise stream needed to release aggregates.  Transformations
-// build plan nodes lazily; nothing is materialized until an aggregation
-// or Partition forces it, and materializations are memoized so a shared
-// sub-query is evaluated once — even when core::exec workers race to
-// force it.
+// build plan nodes lazily; nothing runs until an aggregation or
+// Partition demands it.  Narrow operators (where/select/select_many) run
+// fused inside the one pass of the operator consuming them, copying no
+// row; wide operators store their output, and a narrow node demanded a
+// second time stores its rows, so a shared sub-query runs at most twice
+// — even when core::exec workers race to demand it.
 //
 // Determinism: every aggregation draws its noise from a NoiseSource
 // forked on (root noise stream, plan-node id, per-node release ordinal),
@@ -32,8 +34,8 @@
 // Observability: when a TraceSession is active on the executing thread,
 // every operator and aggregation records a TraceSpan (core/trace.hpp) and
 // the built-in metrics (core/metrics.hpp) count queries, charges, and
-// refusals.  A memoized node contributes its operator span only on first
-// materialization; later aggregations over the same node record just the
+// refusals.  A node contributes its operator span only on its first
+// evaluation; later aggregations over the same node record just the
 // release span.
 #pragma once
 
@@ -63,78 +65,12 @@
 #include "core/metrics.hpp"
 #include "core/noise.hpp"
 #include "core/plan.hpp"
+#include "core/release.hpp"
 #include "core/trace.hpp"
 
 namespace dpnet::core {
 
 namespace detail {
-
-/// One (budget, stability) pair.  An aggregation at accuracy eps charges
-/// stability * eps to the budget.
-struct ChargeEntry {
-  std::shared_ptr<PrivacyBudget> budget;
-  double stability = 1.0;
-};
-
-using ChargeList = std::vector<ChargeEntry>;
-
-inline ChargeList scale_charges(ChargeList charges, double factor) {
-  for (auto& c : charges) c.stability *= factor;
-  return charges;
-}
-
-/// Merges two charge lists, summing stabilities of entries that share a
-/// budget object (two views of the same source compose additively).
-inline ChargeList merge_charges(const ChargeList& a, const ChargeList& b) {
-  ChargeList out = a;
-  for (const auto& entry : b) {
-    auto it = std::find_if(out.begin(), out.end(), [&](const ChargeEntry& e) {
-      return e.budget == entry.budget;
-    });
-    if (it != out.end()) {
-      it->stability += entry.stability;
-    } else {
-      out.push_back(entry);
-    }
-  }
-  return out;
-}
-
-inline void check_epsilon(double eps) {
-  if (!(eps > 0.0) || !std::isfinite(eps)) {
-    throw InvalidEpsilonError("aggregation epsilon must be positive finite");
-  }
-}
-
-[[noreturn]] inline void refuse_charge(double eps) {
-  builtin_metrics::refused_charges().increment();
-  throw BudgetExhaustedError(
-      "privacy budget exhausted for aggregation at epsilon " +
-      std::to_string(eps));
-}
-
-/// Commits an aggregation's charges.  The common single-accountant case
-/// is one atomic try_charge, safe under any number of concurrent
-/// releases.  Multi-accountant commits (join/concat pipelines; two
-/// entries never alias the same budget because merge_charges sums them)
-/// must be all-or-nothing across several budgets, so they serialize on a
-/// process-wide mutex; a concurrent single-accountant commit on one of
-/// the same budgets can still slip between the check and commit phases,
-/// in which case the per-budget charge() re-checks under its own lock —
-/// the budget itself can never overdraw.
-inline void charge_all(const ChargeList& charges, double eps) {
-  if (charges.size() == 1) {
-    const auto& c = charges.front();
-    if (!c.budget->try_charge(c.stability * eps)) refuse_charge(eps);
-    return;
-  }
-  static std::mutex multi_mutex;
-  const std::lock_guard<std::mutex> lock(multi_mutex);
-  for (const auto& c : charges) {
-    if (!c.budget->can_charge(c.stability * eps)) refuse_charge(eps);
-  }
-  for (const auto& c : charges) c.budget->charge(c.stability * eps);
-}
 
 /// Stringifies a partition key for trace annotations (numbers and strings
 /// verbatim; opaque key types fall back to a placeholder suffixed with
@@ -162,32 +98,49 @@ class Queryable {
   /// Wraps `data` as a protected dataset governed by `budget`.
   Queryable(std::vector<T> data, std::shared_ptr<PrivacyBudget> budget,
             std::shared_ptr<NoiseSource> noise)
+      : Queryable(std::make_shared<const std::vector<T>>(std::move(data)),
+                  std::move(budget), std::move(noise)) {}
+
+  /// Wraps a shared, immutable dataset: every Queryable built over the
+  /// same `data` reads the one copy in place (the server gives each
+  /// analyst session its own budget and noise over one trace this way).
+  /// A template, so a braced row list such as `{0, 1}` (whose 0 would
+  /// convert to a null shared_ptr) still picks the vector constructor.
+  template <typename Shared>
+    requires std::is_convertible_v<Shared,
+                                   std::shared_ptr<const std::vector<T>>>
+  Queryable(Shared data, std::shared_ptr<PrivacyBudget> budget,
+            std::shared_ptr<NoiseSource> noise)
       : charges_{{std::move(budget), 1.0}}, noise_(std::move(noise)) {
+    std::shared_ptr<const std::vector<T>> rows(std::move(data));
+    if (!rows) throw InvalidQueryError("queryable requires a dataset");
     if (!charges_.front().budget) {
       throw InvalidQueryError("queryable requires a budget");
     }
     if (!noise_) throw InvalidQueryError("queryable requires a noise source");
     stream_ = noise_->stream_base();
     node_ = std::make_shared<plan::Node<T>>(mix64(plan::kRootSalt, stream_),
-                                            "source", std::move(data));
+                                            "source", std::move(rows));
   }
 
   // ---------------------------------------------------------------------
   // Transformations
   // ---------------------------------------------------------------------
+  // where/select/select_many are narrow: they run fused inside the pass
+  // of whatever consumes them (plan.hpp).  The rest are wide and store
+  // their output rows.
 
   /// Keeps records satisfying `pred`.  No stability change.
   template <typename Pred>
   [[nodiscard]] Queryable<T> where(Pred pred) const {
-    auto parent = node_;
-    return derived<T>(
+    return narrow<T>(
         "where", 1.0,
-        [parent, pred]() {
-          std::vector<T> out;
-          for (const auto& x : parent->rows()) {
-            if (pred(x)) out.push_back(x);
-          }
-          return out;
+        [parent = node_, pred](plan::NodeId id, plan::RowSink<T> out) {
+          return parent->scan([&](const T& x) {
+            if (contain_analyst("where", id, [&] { return pred(x); })) {
+              out(x);
+            }
+          });
         },
         charges_);
   }
@@ -197,14 +150,12 @@ class Queryable {
   [[nodiscard]] auto select(F f) const
       -> Queryable<std::decay_t<std::invoke_result_t<F, const T&>>> {
     using U = std::decay_t<std::invoke_result_t<F, const T&>>;
-    auto parent = node_;
-    return derived<U>(
+    return narrow<U>(
         "select", 1.0,
-        [parent, f]() {
-          std::vector<U> out;
-          out.reserve(parent->rows().size());
-          for (const auto& x : parent->rows()) out.push_back(f(x));
-          return out;
+        [parent = node_, f](plan::NodeId id, plan::RowSink<U> out) {
+          return parent->scan([&](const T& x) {
+            out(contain_analyst("select", id, [&]() -> U { return f(x); }));
+          });
         },
         charges_);
   }
@@ -219,20 +170,19 @@ class Queryable {
     if (max_fanout == 0) {
       throw InvalidQueryError("select_many requires max_fanout >= 1");
     }
-    auto parent = node_;
-    return derived<U>(
+    return narrow<U>(
         "select_many", static_cast<double>(max_fanout),
-        [parent, f, max_fanout]() {
-          std::vector<U> out;
-          for (const auto& x : parent->rows()) {
-            Container produced = f(x);
+        [parent = node_, f, max_fanout](plan::NodeId id,
+                                        plan::RowSink<U> out) {
+          return parent->scan([&](const T& x) {
+            const Container produced = contain_analyst(
+                "select_many", id, [&]() -> Container { return f(x); });
             std::size_t taken = 0;
-            for (auto& item : produced) {
+            for (const auto& item : produced) {
               if (taken++ == max_fanout) break;
-              out.push_back(std::move(item));
+              out(item);
             }
-          }
-          return out;
+          });
         },
         detail::scale_charges(charges_, static_cast<double>(max_fanout)));
   }
@@ -240,15 +190,14 @@ class Queryable {
   /// Removes duplicate records (first occurrence kept).  Requires
   /// std::hash<T> and operator==.  No stability change.
   [[nodiscard]] Queryable<T> distinct() const {
-    auto parent = node_;
-    return derived<T>(
+    return wide<T>(
         "distinct", 1.0,
-        [parent]() {
+        [parent = node_](std::size_t& input_rows) {
           std::vector<T> out;
           grouping::GroupTable<T> seen;
-          for (const auto& x : parent->rows()) {
+          input_rows = parent->scan([&](const T& x) {
             if (seen.acquire(x).second) out.push_back(x);
-          }
+          });
           return out;
         },
         charges_);
@@ -261,12 +210,18 @@ class Queryable {
   template <typename KeyF>
   [[nodiscard]] auto group_by(KeyF key) const {
     using K = std::decay_t<std::invoke_result_t<KeyF, const T&>>;
-    auto parent = node_;
-    return derived<Group<K, T>>(
+    return wide<Group<K, T>>(
         "group_by", 2.0,
-        [parent, key]() {
+        [parent = node_, key](std::size_t& input_rows) {
           grouping::GroupBuilder<K, T> builder;
-          builder.add_rows(parent->rows(), key);
+          if (const auto* held = parent->held_rows()) {
+            // Stored input: the block scan prefetches each key's bucket.
+            builder.add_rows(*held, key);
+            input_rows = held->size();
+          } else {
+            input_rows =
+                parent->scan([&](const T& x) { builder.add(key(x), x); });
+          }
           return builder.take();
         },
         detail::scale_charges(charges_, 2.0));
@@ -275,15 +230,17 @@ class Queryable {
   /// group_by under an executor policy: identical accounting, plan-node
   /// id, and output to the sequential overload — the radix-partitioned
   /// two-phase merge (core/exec/group_aggregate.hpp) reproduces the
-  /// sequential insertion order exactly at any thread count.
+  /// sequential insertion order exactly at any thread count.  Its chunks
+  /// index the input, so a narrow input stores its rows.
   template <typename KeyF>
   [[nodiscard]] auto group_by(KeyF key, exec::ExecPolicy policy) const {
     using K = std::decay_t<std::invoke_result_t<KeyF, const T&>>;
-    auto parent = node_;
-    return derived<Group<K, T>>(
+    return wide<Group<K, T>>(
         "group_by", 2.0,
-        [parent, key, policy]() {
-          return exec::parallel_group_by(policy, parent->rows(), key);
+        [parent = node_, key, policy](std::size_t& input_rows) {
+          const std::vector<T>& rows = parent->rows();
+          input_rows = rows.size();
+          return exec::parallel_group_by(policy, rows, key);
         },
         detail::scale_charges(charges_, 2.0));
   }
@@ -300,15 +257,14 @@ class Queryable {
   [[nodiscard]] auto group_by_spans(KeyF key, BoundaryF starts_new_span)
       const {
     using K = std::decay_t<std::invoke_result_t<KeyF, const T&>>;
-    auto parent = node_;
-    return derived<Group<K, T>>(
+    return wide<Group<K, T>>(
         "group_by_spans", 3.0,
-        [parent, key, starts_new_span]() {
+        [parent = node_, key, starts_new_span](std::size_t& input_rows) {
           // Same GroupBuilder as group_by; only the span rule differs.
           grouping::GroupBuilder<K, T> builder;
-          for (const auto& x : parent->rows()) {
+          input_rows = parent->scan([&](const T& x) {
             builder.add_span(key(x), x, [&] { return starts_new_span(x); });
-          }
+          });
           return builder.take();
         },
         detail::scale_charges(charges_, 3.0));
@@ -317,7 +273,9 @@ class Queryable {
   /// PINQ's bounded-sensitivity Join: both inputs are grouped by their join
   /// key and matching groups are zipped element-wise, so one input record
   /// influences at most one output record.  Both inputs' budgets are
-  /// charged by subsequent aggregations.
+  /// charged by subsequent aggregations.  The build side (`other`) keeps
+  /// pointers into its rows, so a narrow `other` stores them; this side
+  /// streams.
   template <typename U, typename KF1, typename KF2, typename RF>
   [[nodiscard]] auto join(const Queryable<U>& other, KF1 outer_key,
                           KF2 inner_key, RF result) const {
@@ -326,31 +284,28 @@ class Queryable {
     static_assert(std::is_same_v<K, K2>,
                   "join key selectors must produce the same key type");
     using R = std::decay_t<std::invoke_result_t<RF, const T&, const U&>>;
-    auto left = node_;
-    auto right = other.node_;
-    return derived_sized<R>(
+    return wide<R>(
         "join", 1.0,
-        [left, right]() {
-          return left->rows().size() + right->rows().size();
-        },
-        [left, right, outer_key, inner_key, result]() {
+        [left = node_, right = other.node_, outer_key, inner_key,
+         result](std::size_t& input_rows) {
           grouping::GroupTable<K> by_key;
           std::vector<std::vector<const U*>> matches;
-          for (const auto& y : right->rows()) {
+          const std::vector<U>& build = right->rows();
+          for (const auto& y : build) {
             const auto [slot, inserted] = by_key.acquire(inner_key(y));
             if (inserted) matches.emplace_back();
             matches[slot].push_back(&y);
           }
           std::vector<std::size_t> used(matches.size(), 0);
           std::vector<R> out;
-          for (const auto& x : left->rows()) {
+          input_rows = build.size() + left->scan([&](const T& x) {
             const std::uint32_t slot = by_key.find(outer_key(x));
-            if (slot == grouping::kNoSlot) continue;
+            if (slot == grouping::kNoSlot) return;
             std::size_t& u = used[slot];
-            if (u >= matches[slot].size()) continue;  // group exhausted
+            if (u >= matches[slot].size()) return;  // group exhausted
             out.push_back(result(x, *matches[slot][u]));
             ++u;
-          }
+          });
           return out;
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
@@ -359,17 +314,13 @@ class Queryable {
   /// Appends `other`.  Each input's stability is preserved; a record
   /// reaching the output through both inputs pays for both paths.
   [[nodiscard]] Queryable<T> concat(const Queryable<T>& other) const {
-    auto left = node_;
-    auto right = other.node_;
-    return derived_sized<T>(
+    return wide<T>(
         "concat", 1.0,
-        [left, right]() {
-          return left->rows().size() + right->rows().size();
-        },
-        [left, right]() {
-          std::vector<T> out = left->rows();
-          const auto& r = right->rows();
-          out.insert(out.end(), r.begin(), r.end());
+        [left = node_, right = other.node_](std::size_t& input_rows) {
+          std::vector<T> out;
+          const auto append = [&out](const T& x) { out.push_back(x); };
+          input_rows = left->scan(append);
+          input_rows += right->scan(append);
           return out;
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
@@ -379,22 +330,16 @@ class Queryable {
   /// first-occurrence order).  Like Concat, each input's stability is
   /// preserved and both are charged.
   [[nodiscard]] Queryable<T> set_union(const Queryable<T>& other) const {
-    auto left = node_;
-    auto right = other.node_;
-    return derived_sized<T>(
+    return wide<T>(
         "set_union", 1.0,
-        [left, right]() {
-          return left->rows().size() + right->rows().size();
-        },
-        [left, right]() {
+        [left = node_, right = other.node_](std::size_t& input_rows) {
           grouping::GroupTable<T> emitted;
           std::vector<T> out;
-          for (const auto& x : left->rows()) {
+          const auto emit = [&](const T& x) {
             if (emitted.acquire(x).second) out.push_back(x);
-          }
-          for (const auto& x : right->rows()) {
-            if (emitted.acquire(x).second) out.push_back(x);
-          }
+          };
+          input_rows = left->scan(emit);
+          input_rows += right->scan(emit);
           return out;
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
@@ -402,23 +347,18 @@ class Queryable {
 
   /// Set difference: distinct records of this input absent from `other`.
   [[nodiscard]] Queryable<T> except(const Queryable<T>& other) const {
-    auto left = node_;
-    auto right = other.node_;
-    return derived_sized<T>(
+    return wide<T>(
         "except", 1.0,
-        [left, right]() {
-          return left->rows().size() + right->rows().size();
-        },
-        [left, right]() {
+        [left = node_, right = other.node_](std::size_t& input_rows) {
           grouping::GroupTable<T> removed;
-          for (const auto& y : right->rows()) removed.acquire(y);
+          input_rows = right->scan([&](const T& y) { removed.acquire(y); });
           grouping::GroupTable<T> emitted;
           std::vector<T> out;
-          for (const auto& x : left->rows()) {
+          input_rows += left->scan([&](const T& x) {
             if (!removed.contains(x) && emitted.acquire(x).second) {
               out.push_back(x);
             }
-          }
+          });
           return out;
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
@@ -426,23 +366,18 @@ class Queryable {
 
   /// Set intersection of the distinct records of both inputs.
   [[nodiscard]] Queryable<T> intersect(const Queryable<T>& other) const {
-    auto left = node_;
-    auto right = other.node_;
-    return derived_sized<T>(
+    return wide<T>(
         "intersect", 1.0,
-        [left, right]() {
-          return left->rows().size() + right->rows().size();
-        },
-        [left, right]() {
+        [left = node_, right = other.node_](std::size_t& input_rows) {
           grouping::GroupTable<T> in_right;
-          for (const auto& y : right->rows()) in_right.acquire(y);
+          input_rows = right->scan([&](const T& y) { in_right.acquire(y); });
           grouping::GroupTable<T> emitted;
           std::vector<T> out;
-          for (const auto& x : left->rows()) {
+          input_rows += left->scan([&](const T& x) {
             if (in_right.contains(x) && emitted.acquire(x).second) {
               out.push_back(x);
             }
-          }
+          });
           return out;
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
@@ -456,7 +391,7 @@ class Queryable {
   /// Parts are created in `keys` order, so their plan-node ids (and hence
   /// their noise streams and trace tags) do not depend on the key type's
   /// hash order.  Independent parts can be aggregated concurrently via
-  /// core::exec.
+  /// core::exec.  Each kept record is copied once, into its part.
   template <typename K, typename KeyF>
   [[nodiscard]] std::unordered_map<K, Queryable<T>> partition(
       const std::vector<K>& keys, KeyF key) const {
@@ -483,14 +418,15 @@ class Queryable {
     // key_index slot i corresponds to keys[i] (acquire order above), so
     // the buckets are a dense vector in `keys` order.
     std::vector<std::vector<T>> buckets(keys.size());
-    contain_analyst("partition", node_->id(), [&] {
-      for (const auto& x : node_->rows()) {
-        const std::uint32_t slot = key_index.find(key(x));
-        if (slot != grouping::kNoSlot) buckets[slot].push_back(x);
-      }
-    });
+    const std::size_t input_rows =
+        contain_analyst("partition", node_->id(), [&] {
+          return node_->scan([&](const T& x) {
+            const std::uint32_t slot = key_index.find(key(x));
+            if (slot != grouping::kNoSlot) buckets[slot].push_back(x);
+          });
+        });
     scope.set_stability(total_stability());
-    scope.set_rows(static_cast<std::int64_t>(node_->rows().size()),
+    scope.set_rows(static_cast<std::int64_t>(input_rows),
                    static_cast<std::int64_t>(buckets.size()));
     std::unordered_map<K, Queryable<T>> parts;
     for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -503,7 +439,8 @@ class Queryable {
              charges_[g].stability});
       }
       auto part_node = std::make_shared<plan::Node<T>>(
-          node_->next_child_id(), "partition_part", std::move(buckets[i]));
+          node_->next_child_id(), "partition_part",
+          std::make_shared<const std::vector<T>>(std::move(buckets[i])));
       parts.emplace(k, Queryable<T>(std::move(part_node),
                                     std::move(part_charges), noise_, stream_,
                                     "partition[" + detail::key_to_tag(k, i) +
@@ -521,11 +458,12 @@ class Queryable {
     detail::check_epsilon(eps);
     TraceScope scope("noisy_count");
     const auto start = std::chrono::steady_clock::now();
-    const auto n = static_cast<double>(node_->rows().size());
+    const std::size_t n = node_->count();
     NoiseSource local(node_->next_release_seed(stream_));
-    release(scope, "noisy_count", eps, "laplace", node_->rows().size(),
-            start);
-    return n + local.laplace(total_stability() / eps);
+    commit_release(scope, charges_,
+                   {"noisy_count", "laplace", eps, node_->id(), n, 1}, start,
+                   trace_tag_);
+    return static_cast<double>(n) + local.laplace(total_stability() / eps);
   }
 
   /// Integer-valued noisy count using the geometric mechanism.
@@ -533,11 +471,14 @@ class Queryable {
     detail::check_epsilon(eps);
     TraceScope scope("noisy_count_geometric");
     const auto start = std::chrono::steady_clock::now();
-    const auto n = static_cast<std::int64_t>(node_->rows().size());
+    const std::size_t n = node_->count();
     NoiseSource local(node_->next_release_seed(stream_));
-    release(scope, "noisy_count_geometric", eps, "geometric",
-            node_->rows().size(), start);
-    return geometric_mechanism(n, total_stability(), eps, local);
+    commit_release(
+        scope, charges_,
+        {"noisy_count_geometric", "geometric", eps, node_->id(), n, 1}, start,
+        trace_tag_);
+    return geometric_mechanism(static_cast<std::int64_t>(n),
+                               total_stability(), eps, local);
   }
 
   /// Noisy sum of `f(record)` with each term clamped to [-1, 1].
@@ -546,13 +487,16 @@ class Queryable {
     detail::check_epsilon(eps);
     TraceScope scope("noisy_sum");
     const auto start = std::chrono::steady_clock::now();
+    std::size_t n = 0;
     const double sum = contain_analyst("noisy_sum", node_->id(), [&] {
       double s = 0.0;
-      for (const auto& x : node_->rows()) s += clamp_unit(f(x));
+      n = node_->scan([&](const T& x) { s += clamp_unit(f(x)); });
       return s;
     });
     NoiseSource local(node_->next_release_seed(stream_));
-    release(scope, "noisy_sum", eps, "laplace", node_->rows().size(), start);
+    commit_release(scope, charges_,
+                   {"noisy_sum", "laplace", eps, node_->id(), n, 1}, start,
+                   trace_tag_);
     return sum + local.laplace(total_stability() / eps);
   }
 
@@ -576,15 +520,17 @@ class Queryable {
     detail::check_epsilon(eps);
     TraceScope scope("noisy_average");
     const auto start = std::chrono::steady_clock::now();
-    const auto& data = node_->rows();
-    const double n = std::max<double>(1.0, static_cast<double>(data.size()));
+    std::size_t rows = 0;
     const double sum = contain_analyst("noisy_average", node_->id(), [&] {
       double s = 0.0;
-      for (const auto& x : data) s += clamp_unit(f(x));
+      rows = node_->scan([&](const T& x) { s += clamp_unit(f(x)); });
       return s;
     });
+    const double n = std::max<double>(1.0, static_cast<double>(rows));
     NoiseSource local(node_->next_release_seed(stream_));
-    release(scope, "noisy_average", eps, "laplace", data.size(), start);
+    commit_release(scope, charges_,
+                   {"noisy_average", "laplace", eps, node_->id(), rows, 1},
+                   start, trace_tag_);
     return sum / n + local.laplace(2.0 * total_stability() / (eps * n));
   }
 
@@ -617,13 +563,15 @@ class Queryable {
     std::vector<double> values =
         contain_analyst("noisy_quantile", node_->id(), [&] {
           std::vector<double> vs;
-          vs.reserve(node_->rows().size());
-          for (const auto& x : node_->rows()) vs.push_back(f(x));
+          if (const auto* held = node_->held_rows()) vs.reserve(held->size());
+          node_->scan([&](const T& x) { vs.push_back(f(x)); });
           return vs;
         });
     NoiseSource local(node_->next_release_seed(stream_));
-    release(scope, "noisy_quantile", eps, "exponential", values.size(),
-            start);
+    commit_release(scope, charges_,
+                   {"noisy_quantile", "exponential", eps, node_->id(),
+                    values.size(), 1},
+                   start, trace_tag_);
     return exponential_quantile(std::move(values), q,
                                 eps / total_stability(), local);
   }
@@ -633,7 +581,8 @@ class Queryable {
   // ---------------------------------------------------------------------
   // These bypass the privacy curtain.  They exist for the data owner's
   // side only: ground-truth baselines, tests, and experiment evaluation.
-  // Nothing in the analyst-facing pipeline may call them.
+  // Nothing in the analyst-facing pipeline may call them.  Both store the
+  // node's rows.
 
   // dpnet-lint: trusted
   [[nodiscard]] std::size_t size_unsafe() const {
@@ -647,9 +596,7 @@ class Queryable {
   /// Combined stability across all charge entries (used by tests to verify
   /// Table 1 accounting).
   [[nodiscard]] double total_stability() const {
-    double s = 0.0;
-    for (const auto& c : charges_) s += c.stability;
-    return s;
+    return detail::total_stability(charges_);
   }
 
   /// Number of distinct budget accountants this queryable charges.
@@ -673,82 +620,38 @@ class Queryable {
         stream_(stream),
         trace_tag_(std::move(trace_tag)) {}
 
-  /// Commits an aggregation: charges every accountant, updates the
-  /// built-in metrics, and fills in the aggregation's trace span.  Throws
-  /// BudgetExhaustedError (charging nothing) on refusal, leaving a span
-  /// marked "refused" so the data owner sees the attempt.  The charge
-  /// runs under a ScopedChargeNode annotation so an AuditingBudget can
-  /// stamp its ledger entry with this plan node's id.
-  ///
-  /// Charge-before-release invariant (docs/robustness.md): the guard
-  /// checkpoint and the "core.release.charge" failpoint both sit *before*
-  /// charge_all, and nothing after the charge can throw an abort.  So an
-  /// aborted release charges nothing (span marked "aborted"), and once
-  /// charge_all commits the epsilon is never refunded — there is no
-  /// window where the ledger is half-charged.
-  void release(TraceScope& scope, const char* op, double eps,
-               const char* mechanism, std::size_t input_rows,
-               std::chrono::steady_clock::time_point start) const {
-    const ScopedChargeNode charge_node(node_->id());
-    try {
-      guard_checkpoint("release", node_->id());
-      failpoint::hit("core.release.charge", mechanism);
-      detail::charge_all(charges_, eps);
-    } catch (const BudgetExhaustedError&) {
-      scope.set_detail(trace_tag_.empty() ? "refused"
-                                          : trace_tag_ + ";refused");
-      throw;
-    } catch (const QueryAbortedError&) {
-      scope.set_detail(trace_tag_.empty() ? "aborted"
-                                          : trace_tag_ + ";aborted");
-      throw;
-    }
-    const double charged = total_stability() * eps;
-    builtin_metrics::queries_executed().increment();
-    builtin_metrics::eps_charged(mechanism).add(charged);
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    builtin_metrics::query_wall_ms().observe(wall_ms);
-    // Aggregations are releases, not plan materializations, so this is
-    // their op.wall_ms.<kind> checkpoint (plan nodes record theirs in
-    // plan::Node::rows()).
-    builtin_metrics::observe_op_wall_ms(op, wall_ms);
-    scope.set_mechanism(mechanism);
-    scope.set_stability(total_stability());
-    scope.set_eps(eps, charged);
-    scope.set_rows(static_cast<std::int64_t>(input_rows), 1);
-    if (!trace_tag_.empty()) scope.set_detail(trace_tag_);
+  /// Builds a narrow plan node over this one; `stream` pushes its output
+  /// rows into a sink (plan.hpp).
+  template <typename U, typename StreamF>
+  [[nodiscard]] Queryable<U> narrow(const char* op, double op_stability,
+                                    StreamF stream,
+                                    detail::ChargeList charges) const {
+    auto node = std::make_shared<plan::Node<U>>(
+        node_->next_child_id(), op, op_stability,
+        typename plan::Node<U>::Stream(std::move(stream)),
+        std::vector<std::weak_ptr<const plan::NodeBase>>{node_});
+    return Queryable<U>(std::move(node), std::move(charges), noise_, stream_,
+                        trace_tag_);
   }
 
+  /// Builds a wide plan node over this one (and `other_input`, for binary
+  /// operators); `compute` builds its rows and reports its input count.
+  /// The node id chains off this node's id and per-parent child ordinal
+  /// (plan.hpp).
   template <typename U, typename ComputeF>
-  [[nodiscard]] Queryable<U> derived(const char* op, double op_stability,
-                                     ComputeF compute,
-                                     detail::ChargeList charges) const {
-    auto self = node_;
-    return derived_sized<U>(
-        op, op_stability, [self]() { return self->rows().size(); },
-        std::move(compute), std::move(charges));
-  }
-
-  /// Builds the derived plan node.  The node id chains off this node's id
-  /// and per-parent child ordinal (plan.hpp), and the node itself decides
-  /// at materialization time whether to record an operator span.
-  template <typename U, typename SizeF, typename ComputeF>
-  [[nodiscard]] Queryable<U> derived_sized(
-      const char* op, double op_stability, SizeF input_size, ComputeF compute,
+  [[nodiscard]] Queryable<U> wide(
+      const char* op, double op_stability, ComputeF compute,
       detail::ChargeList charges,
       std::shared_ptr<const plan::NodeBase> other_input = nullptr) const {
     std::vector<std::weak_ptr<const plan::NodeBase>> inputs;
     inputs.push_back(node_);
     if (other_input) inputs.push_back(std::move(other_input));
-    auto derived_node = std::make_shared<plan::Node<U>>(
+    auto node = std::make_shared<plan::Node<U>>(
         node_->next_child_id(), op, op_stability,
-        std::function<std::vector<U>()>(std::move(compute)),
-        std::function<std::size_t()>(std::move(input_size)),
+        typename plan::Node<U>::Compute(std::move(compute)),
         std::move(inputs));
-    return Queryable<U>(std::move(derived_node), std::move(charges), noise_,
-                        stream_, trace_tag_);
+    return Queryable<U>(std::move(node), std::move(charges), noise_, stream_,
+                        trace_tag_);
   }
 
   std::shared_ptr<plan::Node<T>> node_;

@@ -17,8 +17,8 @@
 #include "core/errors.hpp"
 #include "core/grouping/table.hpp"
 #include "core/hash.hpp"
-#include "core/metrics.hpp"
 #include "core/noise.hpp"
+#include "core/release.hpp"
 #include "core/trace.hpp"
 
 namespace dpnet::core {
@@ -37,7 +37,7 @@ class StreamingHistogram {
     // Only the stream base is needed, at construction time: capturing it
     // here instead of holding the shared_ptr lets the caller's
     // NoiseSource die with the caller.
-    stream_ = noise->stream_base();
+    id_ = mix64(kStreamingSalt, noise->stream_base());
     cell_index_.reserve(cells.size());
     for (auto& c : cells) {
       if (!cell_index_.acquire(std::move(c)).second) {
@@ -82,7 +82,10 @@ class StreamingHistogram {
 
   /// Releases every cell's noisy count, charging `eps` once for the whole
   /// histogram (the cells are disjoint).  The histogram can be released
-  /// repeatedly; each release charges again and draws fresh noise.
+  /// repeatedly; each release charges again and draws fresh noise.  The
+  /// commit goes through the one release primitive (core/release.hpp):
+  /// a tripped guard or an armed "core.release.charge" failpoint stops it
+  /// before the charge, and the ledger/journal entry carries id().
   [[nodiscard]] std::unordered_map<K, double> release(double eps) {
     if (!(eps > 0.0)) {
       throw InvalidEpsilonError("release epsilon must be > 0");
@@ -90,17 +93,14 @@ class StreamingHistogram {
     TraceScope scope("streaming_release");
     const auto start = std::chrono::steady_clock::now();
     // Fork a per-release noise source (same scheme as plan-node releases:
-    // stream base + release ordinal), so the cell noise is a fixed
+    // histogram id + release ordinal), so the cell noise is a fixed
     // function of the seed and release number, not of who else shares
     // the underlying NoiseSource.
-    NoiseSource local(mix64(mix64(kStreamingSalt, stream_), releases_++));
-    if (!budget_->try_charge(eps)) {
-      builtin_metrics::refused_charges().increment();
-      scope.set_detail("refused");
-      throw BudgetExhaustedError("streaming histogram release over budget");
-    }
-    builtin_metrics::queries_executed().increment();
-    builtin_metrics::eps_charged("laplace").add(eps);
+    NoiseSource local(mix64(id_, releases_++));
+    commit_release(scope, {{budget_, 1.0}},
+                   {"streaming_release", "laplace", eps, id_, records_seen_,
+                    counts_.size()},
+                   start);
     std::unordered_map<K, double> out;
     out.reserve(counts_.size());
     // Draw order follows cells() order, exactly as the historical
@@ -110,18 +110,12 @@ class StreamingHistogram {
       out.emplace(cell_index_.key_at(static_cast<std::uint32_t>(i)),
                   counts_[i] + local.laplace(1.0 / eps));
     }
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    builtin_metrics::query_wall_ms().observe(wall_ms);
-    builtin_metrics::observe_op_wall_ms("streaming_release", wall_ms);
-    scope.set_mechanism("laplace");
-    scope.set_stability(1.0);
-    scope.set_eps(eps, eps);
-    scope.set_rows(static_cast<std::int64_t>(records_seen_),
-                   static_cast<std::int64_t>(counts_.size()));
     return out;
   }
+
+  /// The histogram's fixed id, derived from its noise stream base: the
+  /// node id its releases stamp on ledger and journal entries.
+  [[nodiscard]] std::uint64_t id() const { return id_; }
 
   /// The cell universe, in construction order (the grouping table's
   /// insertion log doubles as the dense slot -> cell mapping).
@@ -135,7 +129,7 @@ class StreamingHistogram {
   grouping::GroupTable<K> cell_index_;
   std::vector<double> counts_;  // indexed by cell slot
   std::shared_ptr<PrivacyBudget> budget_;
-  std::uint64_t stream_ = 0;
+  std::uint64_t id_ = 0;
   std::uint64_t releases_ = 0;
   std::uint64_t records_seen_ = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -22,6 +24,8 @@ namespace {
 constexpr std::uint32_t kPacketFixedBytes = 36;
 constexpr std::uint32_t kMaxPayloadBytes = 64u * 1024 * 1024;
 constexpr std::uint32_t kMaxBodyBytes = kPacketFixedBytes + kMaxPayloadBytes;
+// Container header: u32 magic, u16 version, u64 record count.
+constexpr std::size_t kHeaderBytes = 14;
 
 template <typename T>
 void put(std::ostream& out, T value) {
@@ -29,35 +33,57 @@ void put(std::ostream& out, T value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
+/// Reads a trivially-copyable field from unaligned bytes.
 template <typename T>
-T take(std::istream& in) {
+T load(const char* bytes) {
   static_assert(std::is_trivially_copyable_v<T>);
-  T value{};
-  if (!in.read(reinterpret_cast<char*>(&value), sizeof(value))) {
-    if (in.bad()) throw TransientIoError("trace stream I/O failure");
-    throw TraceIoError("truncated trace container");
-  }
+  T value;
+  std::memcpy(&value, bytes, sizeof(value));
   return value;
 }
 
-/// IEEE CRC-32 (reflected polynomial 0xEDB88320), table-driven.
-std::uint32_t crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+/// IEEE CRC-32 (reflected polynomial 0xEDB88320), slice-by-8: eight
+/// 256-entry tables fold eight bytes per step on little-endian hosts.
+std::uint32_t crc32(const char* data, std::size_t n) {
+  static const auto tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; n -= 8, p += 8) {
+      std::uint32_t lo = 0;
+      std::uint32_t hi = 0;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= crc;
+      crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
+            tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
+            tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
+            tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
+    }
+  }
+  for (; n > 0; --n, ++p) {
+    crc = tables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32(std::string_view bytes) {
+  return crc32(bytes.data(), bytes.size());
 }
 
 void put_packet(std::ostream& out, const Packet& p) {
@@ -79,76 +105,31 @@ void put_packet(std::ostream& out, const Packet& p) {
             static_cast<std::streamsize>(p.payload.size()));
 }
 
-Packet take_packet(std::istream& in) {
-  Packet p;
-  p.timestamp = take<double>(in);
-  p.src_ip = Ipv4(take<std::uint32_t>(in));
-  p.dst_ip = Ipv4(take<std::uint32_t>(in));
-  p.src_port = take<std::uint16_t>(in);
-  p.dst_port = take<std::uint16_t>(in);
-  p.protocol = take<std::uint8_t>(in);
-  p.flags = TcpFlags::from_byte(take<std::uint8_t>(in));
-  p.seq = take<std::uint32_t>(in);
-  p.ack_no = take<std::uint32_t>(in);
-  p.length = take<std::uint16_t>(in);
-  const auto payload_len = take<std::uint32_t>(in);
-  if (payload_len > kMaxPayloadBytes) {
-    throw TraceIoError("implausible payload length (corrupt container?)");
-  }
-  p.payload.resize(payload_len);
-  if (payload_len > 0 &&
-      !in.read(p.payload.data(), static_cast<std::streamsize>(payload_len))) {
-    if (in.bad()) throw TransientIoError("trace stream I/O failure");
-    throw TraceIoError("truncated packet payload");
-  }
-  return p;
-}
+/// Offset of the u32 payload length within a serialized packet.
+constexpr std::size_t kPayloadLenOffset = kPacketFixedBytes - 4;
 
-/// Reads `n` bytes or throws with the record index; distinguishes stream
-/// failure (transient) from running out of bytes (format).
-void read_exact(std::istream& in, char* dst, std::streamsize n,
-                const char* what, std::uint64_t index) {
-  if (!in.read(dst, n)) {
-    if (in.bad()) throw TransientIoError("trace stream I/O failure");
-    throw TraceFormatError(what, index);
+/// Parses a serialized packet from `len` bytes (at least the fixed part).
+/// Returns false, leaving `p` untouched, when the announced payload is
+/// implausible or does not fit; trailing bytes past the payload are
+/// ignored, as the stream-based parser always did.
+bool parse_packet(const char* b, std::size_t len, Packet& p) {
+  const auto payload_len = load<std::uint32_t>(b + kPayloadLenOffset);
+  if (payload_len > kMaxPayloadBytes ||
+      payload_len > len - kPacketFixedBytes) {
+    return false;
   }
-}
-
-/// Parses one v2 frame.  Every failure mode is a bounded, indexed
-/// TraceFormatError (or TransientIoError for stream-level faults) — no
-/// input byte pattern may crash the reader or read out of bounds.
-Packet take_frame(std::istream& in, std::uint64_t index) {
-  std::uint16_t marker = 0;
-  read_exact(in, reinterpret_cast<char*>(&marker), sizeof(marker),
-             "truncated record frame", index);
-  if (marker != kRecordMarker) {
-    throw TraceFormatError("bad record marker", index);
-  }
-  std::uint32_t body_len = 0;
-  read_exact(in, reinterpret_cast<char*>(&body_len), sizeof(body_len),
-             "truncated record frame", index);
-  if (body_len < kPacketFixedBytes || body_len > kMaxBodyBytes) {
-    throw TraceFormatError("implausible record length", index);
-  }
-  std::string body(body_len, '\0');
-  read_exact(in, body.data(), static_cast<std::streamsize>(body_len),
-             "truncated record body", index);
-  std::uint32_t crc = 0;
-  read_exact(in, reinterpret_cast<char*>(&crc), sizeof(crc),
-             "truncated record checksum", index);
-  if (crc != crc32(body)) {
-    throw TraceFormatError("record checksum mismatch", index);
-  }
-  std::istringstream body_in(std::move(body));
-  try {
-    return take_packet(body_in);
-  } catch (const TransientIoError&) {
-    throw;
-  } catch (const TraceIoError&) {
-    // Checksum passed but the body doesn't parse as a packet: the record
-    // was written malformed.  Index only — never the bytes themselves.
-    throw TraceFormatError("malformed record body", index);
-  }
+  p.timestamp = load<double>(b);
+  p.src_ip = Ipv4(load<std::uint32_t>(b + 8));
+  p.dst_ip = Ipv4(load<std::uint32_t>(b + 12));
+  p.src_port = load<std::uint16_t>(b + 16);
+  p.dst_port = load<std::uint16_t>(b + 18);
+  p.protocol = load<std::uint8_t>(b + 20);
+  p.flags = TcpFlags::from_byte(load<std::uint8_t>(b + 21));
+  p.seq = load<std::uint32_t>(b + 22);
+  p.ack_no = load<std::uint32_t>(b + 26);
+  p.length = load<std::uint16_t>(b + 30);
+  p.payload.assign(b + kPacketFixedBytes, payload_len);
+  return true;
 }
 
 }  // namespace
@@ -167,8 +148,13 @@ std::vector<Packet> read_trace(std::istream& in,
   // vector grows naturally past this if the records are really there.
   out.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(reader.total(), 1u << 20)));
-  Packet p;
-  while (reader.next(p)) out.push_back(p);
+  // Parse straight into the vector's next element: no per-record copy.
+  while (reader.remaining() > 0) {
+    if (!reader.next(out.emplace_back())) {
+      out.pop_back();  // a quarantined tail: nothing more to read
+      break;
+    }
+  }
   return out;
 }
 
@@ -236,54 +222,112 @@ void TraceWriter::finish() {
 }
 
 TraceReader::TraceReader(std::istream& in, TraceReadOptions options)
-    : in_(in), options_(options) {
+    : in_(in), options_(options), buf_(kReadChunk) {
   core::failpoint::hit("net.trace_io.read");
-  try {
-    if (take<std::uint32_t>(in_) != kTraceMagic) {
-      throw TraceFormatError("bad trace magic (not a DPNT container)",
-                             TraceFormatError::kHeader);
-    }
-    version_ = take<std::uint16_t>(in_);
-    if (version_ != kTraceVersion && version_ != kTraceVersionLegacy) {
-      throw TraceFormatError(
-          "unsupported trace version " + std::to_string(version_),
-          TraceFormatError::kHeader);
-    }
-    total_ = take<std::uint64_t>(in_);
-  } catch (const TraceFormatError&) {
-    throw;
-  } catch (const TransientIoError&) {
-    throw;
-  } catch (const TraceIoError&) {
-    throw TraceFormatError("truncated trace header",
+  const auto header = [this](std::size_t n) {
+    require(n, "truncated trace header", TraceFormatError::kHeader);
+    return buf_.data() + pos_;
+  };
+  if (load<std::uint32_t>(header(4)) != kTraceMagic) {
+    throw TraceFormatError("bad trace magic (not a DPNT container)",
                            TraceFormatError::kHeader);
   }
+  version_ = load<std::uint16_t>(header(6) + 4);
+  if (version_ != kTraceVersion && version_ != kTraceVersionLegacy) {
+    throw TraceFormatError(
+        "unsupported trace version " + std::to_string(version_),
+        TraceFormatError::kHeader);
+  }
+  total_ = load<std::uint64_t>(header(kHeaderBytes) + 6);
+  pos_ += kHeaderBytes;
+}
+
+bool TraceReader::fill(std::size_t n) {
+  if (end_ - pos_ >= n) return true;
+  // Keep the unread bytes, moved to the front; a frame larger than the
+  // buffer grows it, at most doubling per read, so a forged length costs
+  // no more memory than the bytes actually there.
+  std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+  end_ -= pos_;
+  pos_ = 0;
+  while (end_ < n && !exhausted_) {
+    if (end_ == buf_.size()) {
+      buf_.resize(std::min(n, 2 * buf_.size()));
+    }
+    in_.read(buf_.data() + end_,
+             static_cast<std::streamsize>(buf_.size() - end_));
+    end_ += static_cast<std::size_t>(in_.gcount());
+    if (!in_) {
+      exhausted_ = true;
+      failed_ = in_.bad();
+    }
+  }
+  return end_ >= n;
+}
+
+void TraceReader::require(std::size_t n, const char* what,
+                          std::uint64_t index) {
+  if (fill(n)) return;
+  if (failed_) throw TransientIoError("trace stream I/O failure");
+  throw TraceFormatError(what, index);
+}
+
+/// Parses one v2 frame at pos_, consuming it only if it is intact.  Every
+/// failure mode is a bounded, indexed TraceFormatError (or
+/// TransientIoError for stream-level faults) — no input byte pattern may
+/// crash the reader or read out of bounds.
+void TraceReader::take_frame(Packet& p, std::uint64_t index) {
+  constexpr std::size_t kHead = sizeof(std::uint16_t) + sizeof(std::uint32_t);
+  require(sizeof(std::uint16_t), "truncated record frame", index);
+  if (load<std::uint16_t>(buf_.data() + pos_) != kRecordMarker) {
+    throw TraceFormatError("bad record marker", index);
+  }
+  require(kHead, "truncated record frame", index);
+  const auto body_len =
+      load<std::uint32_t>(buf_.data() + pos_ + sizeof(std::uint16_t));
+  if (body_len < kPacketFixedBytes || body_len > kMaxBodyBytes) {
+    throw TraceFormatError("implausible record length", index);
+  }
+  require(kHead + body_len, "truncated record body", index);
+  require(kHead + body_len + sizeof(std::uint32_t),
+          "truncated record checksum", index);
+  const char* body = buf_.data() + pos_ + kHead;
+  if (load<std::uint32_t>(body + body_len) != crc32(body, body_len)) {
+    throw TraceFormatError("record checksum mismatch", index);
+  }
+  if (!parse_packet(body, body_len, p)) {
+    // Checksum passed but the body doesn't parse as a packet: the record
+    // was written malformed.  Index only — never the bytes themselves.
+    throw TraceFormatError("malformed record body", index);
+  }
+  pos_ += kHead + body_len + sizeof(std::uint32_t);
+}
+
+void TraceReader::take_legacy(Packet& p, std::uint64_t index) {
+  constexpr const char* kWhat = "truncated or malformed record";
+  require(kPacketFixedBytes, kWhat, index);
+  const auto payload_len =
+      load<std::uint32_t>(buf_.data() + pos_ + kPayloadLenOffset);
+  if (payload_len > kMaxPayloadBytes) throw TraceFormatError(kWhat, index);
+  require(kPacketFixedBytes + payload_len, kWhat, index);
+  static_cast<void>(parse_packet(buf_.data() + pos_,
+                                 kPacketFixedBytes + payload_len, p));
+  pos_ += kPacketFixedBytes + payload_len;
 }
 
 bool TraceReader::next(Packet& p) {
   while (consumed_ < total_) {
     const std::uint64_t index = consumed_;
-    const std::streampos frame_start = in_.tellg();
     try {
       if (version_ == kTraceVersionLegacy) {
-        try {
-          p = take_packet(in_);
-        } catch (const TransientIoError&) {
-          throw;
-        } catch (const TraceFormatError&) {
-          throw;
-        } catch (const TraceIoError&) {
-          throw TraceFormatError("truncated or malformed record", index);
-        }
+        take_legacy(p, index);
       } else {
-        p = take_frame(in_, index);
+        take_frame(p, index);
       }
       ++consumed_;
       core::builtin_metrics::bytes_processed().increment(kPacketFixedBytes +
                                                          p.payload.size());
       return true;
-    } catch (const TransientIoError&) {
-      throw;
     } catch (const TraceFormatError&) {
       // Legacy containers carry no frame markers, so there is nothing to
       // resync on — degraded mode is v2-only.
@@ -297,7 +341,7 @@ bool TraceReader::next(Packet& p) {
                                "corrupt to degrade gracefully",
                                index);
       }
-      if (!resync(frame_start)) {
+      if (!resync()) {
         // Truncated tail: nothing left to scan.  Terminal — remaining()
         // drops to zero so callers see a clean (if short) end of trace.
         total_ = consumed_;
@@ -308,31 +352,37 @@ bool TraceReader::next(Packet& p) {
   return false;
 }
 
-bool TraceReader::resync(std::streampos frame_start) {
-  // Re-scan from one byte past the bad frame's start for the next marker
-  // (native byte order, matching put<std::uint16_t>).  A payload byte
-  // pair can alias the marker; the checksum then rejects the false frame
-  // and we land back here, one quarantine count further along.
-  in_.clear();
-  in_.seekg(frame_start + std::streamoff(1));
-  if (!in_) {
-    in_.clear();
+bool TraceReader::resync() {
+  // Re-scan from one byte past the bad frame's start (still at pos_: a
+  // failed frame consumes nothing) for the next marker, in native byte
+  // order, matching put<std::uint16_t>.  The bytes are already buffered
+  // or come from the stream as the scan needs them — no seek.  A payload
+  // byte pair can alias the marker; the checksum then rejects the false
+  // frame and we land back here, one quarantine count further along.
+  constexpr char lo = static_cast<char>(kRecordMarker & 0xFF);
+  constexpr char hi = static_cast<char>((kRecordMarker >> 8) & 0xFF);
+  if (!fill(1)) {
+    if (failed_) throw TransientIoError("trace stream I/O failure");
     return false;
   }
-  constexpr int lo = kRecordMarker & 0xFF;
-  constexpr int hi = (kRecordMarker >> 8) & 0xFF;
-  int prev = -1;
-  int c = 0;
-  while ((c = in_.get()) != std::char_traits<char>::eof()) {
-    if (prev == lo && c == hi) {
-      in_.seekg(-2, std::ios::cur);
-      return true;
+  std::size_t i = pos_ + 1;
+  for (;;) {
+    for (; i + 1 < end_; ++i) {
+      if (buf_[i] == lo && buf_[i + 1] == hi) {
+        pos_ = i;
+        return true;
+      }
     }
-    prev = c;
+    // Keep the last unmatched byte: it may be the low half of a marker.
+    pos_ = std::min(i, end_);
+    const std::size_t kept = end_ - pos_;
+    if (!fill(kept + 1)) {
+      if (failed_) throw TransientIoError("trace stream I/O failure");
+      pos_ = end_;
+      return false;
+    }
+    i = pos_;
   }
-  if (in_.bad()) throw TransientIoError("trace stream I/O failure");
-  in_.clear();
-  return false;
 }
 
 }  // namespace dpnet::net

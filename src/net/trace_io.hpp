@@ -86,7 +86,7 @@ struct TraceReadOptions {
   /// Degraded mode: skip corrupt v2 records (resyncing on the frame
   /// marker) instead of failing, counting each skip in `quarantined()`
   /// and the records.quarantined metric.  Ignored for v1 containers,
-  /// which carry no markers to resync on.  Requires a seekable stream.
+  /// which carry no markers to resync on.
   bool quarantine = false;
   /// Abort with TraceFormatError anyway once this many records have been
   /// quarantined — a bound on how degraded a "degraded" read may get.
@@ -134,7 +134,10 @@ class TraceWriter {
   bool finished_ = false;
 };
 
-/// Incremental reader for v1 and v2 containers.
+/// Incremental reader for v1 and v2 containers.  Reads the stream in
+/// chunks into one reused buffer (grown only for a record larger than
+/// it) and parses records from there, so a read costs no seek and no
+/// per-record stream object; it may read past the last record.
 class TraceReader {
  public:
   explicit TraceReader(std::istream& in, TraceReadOptions options = {});
@@ -151,10 +154,26 @@ class TraceReader {
   [[nodiscard]] std::uint16_t version() const { return version_; }
 
  private:
-  [[nodiscard]] bool resync(std::streampos frame_start);
+  /// Bytes the buffer is refilled with per stream read.
+  static constexpr std::size_t kReadChunk = 64 * 1024;
+
+  /// Makes `n` unread bytes available at pos_; false if the stream ends
+  /// (or fails) first.
+  [[nodiscard]] bool fill(std::size_t n);
+  /// fill(n), or throws: TransientIoError if the stream failed, else
+  /// TraceFormatError(what, index).
+  void require(std::size_t n, const char* what, std::uint64_t index);
+  void take_frame(Packet& p, std::uint64_t index);
+  void take_legacy(Packet& p, std::uint64_t index);
+  [[nodiscard]] bool resync();
 
   std::istream& in_;
   TraceReadOptions options_;
+  std::vector<char> buf_;
+  std::size_t pos_ = 0;  // next unread byte in buf_
+  std::size_t end_ = 0;  // one past the last buffered byte
+  bool exhausted_ = false;  // the stream has no more bytes
+  bool failed_ = false;     // ...because it failed (badbit)
   std::uint16_t version_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t consumed_ = 0;  // intact + quarantined

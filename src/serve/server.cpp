@@ -24,7 +24,8 @@ namespace dpnet::serve {
 QueryServer::QueryServer(std::vector<net::Packet> records,
                          ServerConfig config)
     : cfg_(std::move(config)),
-      records_(std::move(records)),
+      records_(std::make_shared<const std::vector<net::Packet>>(
+          std::move(records))),
       root_(std::make_shared<core::RootBudget>(cfg_.dataset_budget)),
       pool_(std::max<std::size_t>(1, cfg_.threads)) {
   // The server claims the process-wide journal: the ring is cleared so
@@ -148,6 +149,7 @@ QueryServer::Session& QueryServer::session_for(const std::string& analyst,
   session->audit->set_label(analyst);
   // Noise and plan-node ids derive from (server seed, analyst name), so
   // sessions are isolated and reproducible regardless of arrival order.
+  // Every session reads the one shared, immutable trace in place.
   const std::uint64_t seed =
       core::mix64(cfg_.seed, core::obs::fnv1a(analyst));
   session->view = std::make_unique<core::Queryable<net::Packet>>(
@@ -334,7 +336,7 @@ std::string QueryServer::execute(
     response = protocol::error_response(req.id, req.analyst, err);
   }
   frames_executed_.fetch_add(1, std::memory_order_relaxed);
-  rows_processed_.fetch_add(records_.size(), std::memory_order_relaxed);
+  rows_processed_.fetch_add(records_->size(), std::memory_order_relaxed);
   {
     // All scopes are closed by now (success or unwind), so the request's
     // spans — including refused/aborted releases — join the server-wide

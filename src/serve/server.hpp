@@ -4,6 +4,8 @@
 //
 // A QueryServer loads a trace once and serves many concurrent analyst
 // sessions over the line-delimited JSON protocol in serve/protocol.hpp.
+// All sessions share one immutable copy of the trace, and each query's
+// filter runs fused into its count, scanning that copy in place.
 // Each analyst principal gets a session on first contact: a
 // CappedBudget carved out of the shared dataset RootBudget, wrapped in
 // an AuditingBudget labeled with the analyst's name (so the existing
@@ -117,13 +119,15 @@ class QueryServer {
   /// a lock.
   using ResponseSink = std::function<void(const std::string& line)>;
 
-  /// Takes ownership of the trace and claims the process-wide event
-  /// journal: the ring is cleared, and with `config.journal_path` the
-  /// durable log opens (one journaled server per process) and — if the
-  /// path names an existing file — the previous incarnation's journal is
-  /// verified and replayed into fresh budgets.  No file is written until
-  /// the first commit.  Throws DpError when the journal fails
-  /// verification or a recovered spend no longer fits its cap.
+  /// Keeps the trace as one immutable copy that every analyst session
+  /// shares and scans in place (no per-session or per-request copy), and
+  /// claims the process-wide event journal: the ring is cleared, and with
+  /// `config.journal_path` the durable log opens (one journaled server
+  /// per process) and — if the path names an existing file — the
+  /// previous incarnation's journal is verified and replayed into fresh
+  /// budgets.  No file is written until the first commit.  Throws DpError
+  /// when the journal fails verification or a recovered spend no longer
+  /// fits its cap.
   QueryServer(std::vector<net::Packet> records, ServerConfig config);
 
   /// Drains in-flight work, then stops.  Commits nothing: call
@@ -237,7 +241,7 @@ class QueryServer {
                       const std::string& line) const;
 
   ServerConfig cfg_;
-  std::vector<net::Packet> records_;
+  std::shared_ptr<const std::vector<net::Packet>> records_;  // shared
   std::shared_ptr<core::PrivacyBudget> root_;
 
   mutable std::mutex mutex_;  // sessions, queues, dispatch state

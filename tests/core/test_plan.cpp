@@ -101,8 +101,10 @@ TEST(Plan, DescribeRendersTheDagWithMaterializationMarks) {
 
   std::ignore = filtered.noisy_count(1.0);
   const std::string after = filtered.plan_node().describe();
-  EXPECT_NE(after.find('*'), std::string::npos);  // now materialized
+  EXPECT_NE(after.find('*'), std::string::npos);  // now evaluated
   EXPECT_TRUE(filtered.plan_node().materialized());
+  // ...fused into the count: the where kept no rows of its own.
+  EXPECT_FALSE(filtered.plan_node().holds_rows());
 }
 
 TEST(Plan, MaterializationIsDemandDriven) {
@@ -111,7 +113,8 @@ TEST(Plan, MaterializationIsDemandDriven) {
   EXPECT_TRUE(q.plan_node().materialized());  // sources hold their rows
   EXPECT_FALSE(filtered.plan_node().materialized());
   std::ignore = filtered.noisy_count(1.0);
-  EXPECT_TRUE(filtered.plan_node().materialized());
+  EXPECT_TRUE(filtered.plan_node().materialized());  // evaluated...
+  EXPECT_FALSE(filtered.plan_node().holds_rows());   // ...storing nothing
 }
 
 TEST(Plan, OpaquePartitionKeysGetIndexedTraceTags) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string_view>
+
+#include "core/audit.hpp"
+#include "core/failpoint.hpp"
+#include "core/guard.hpp"
 #include "tracegen/isp_traffic.hpp"
 
 namespace dpnet::core {
@@ -89,6 +95,54 @@ TEST(StreamingHistogram, NoiseMatchesLaplaceScale) {
     sum_sq += err * err;
   }
   EXPECT_NEAR(std::sqrt(sum_sq / trials), std::sqrt(2.0), 0.1);
+}
+
+// Releases commit through the one release primitive (core/release.hpp),
+// so they keep Queryable's invariants: guard checkpoint and failpoint
+// before the charge, and a ledger entry stamped with a node id.
+
+TEST(StreamingHistogram, TrippedGuardAbortsTheReleaseBeforeItsCharge) {
+  auto budget = std::make_shared<RootBudget>(1.0);
+  StreamingHistogram<int> hist({0, 1}, budget,
+                               std::make_shared<NoiseSource>(8));
+  hist.feed(0);
+  QueryGuard guard;
+  guard.cancel();
+  const GuardScope scope(guard);
+  EXPECT_THROW(static_cast<void>(hist.release(0.5)), QueryAbortedError);
+  EXPECT_DOUBLE_EQ(budget->spent(), 0.0);
+}
+
+TEST(StreamingHistogram, ReleaseChargeFailpointStopsTheReleaseBeforeItsCharge) {
+  auto budget = std::make_shared<RootBudget>(1.0);
+  StreamingHistogram<int> hist({0}, budget, std::make_shared<NoiseSource>(9));
+  hist.feed(0);
+  {
+    failpoint::ScopedFailpoint fp("core.release.charge", [](std::string_view) {
+      throw std::runtime_error("injected");
+    });
+    EXPECT_THROW(static_cast<void>(hist.release(0.5)), std::runtime_error);
+  }
+  EXPECT_DOUBLE_EQ(budget->spent(), 0.0);
+  static_cast<void>(hist.release(0.5));  // disarmed: the release commits
+  EXPECT_DOUBLE_EQ(budget->spent(), 0.5);
+}
+
+TEST(StreamingHistogram, LedgerEntryCarriesTheHistogramsFixedNodeId) {
+  const auto charged_node = [] {
+    auto audit =
+        std::make_shared<AuditingBudget>(std::make_shared<RootBudget>(1.0));
+    StreamingHistogram<int> hist({0, 1}, audit,
+                                 std::make_shared<NoiseSource>(77));
+    hist.feed(1);
+    static_cast<void>(hist.release(0.25));
+    EXPECT_EQ(audit->entries().size(), 1u);
+    EXPECT_EQ(audit->entries().front().node_id, hist.id());
+    return audit->entries().front().node_id;
+  };
+  const std::uint64_t first = charged_node();
+  EXPECT_NE(first, 0u);
+  EXPECT_EQ(charged_node(), first);  // same seed, same id, every run
 }
 
 TEST(StreamingIspTraffic, StreamAgreesWithMaterializedGenerate) {

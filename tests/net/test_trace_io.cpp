@@ -297,5 +297,99 @@ TEST(TraceIo, TransientRetriesAreBounded) {
   EXPECT_EQ(attempts, 4);  // first try + 3 retries, then give up
 }
 
+// ---------------------------------------------------------------------
+// The buffered reader: records straddling refills, resync across them,
+// and no seek per record.
+// ---------------------------------------------------------------------
+
+Packet sized_packet(int i, std::size_t payload) {
+  Packet p = sample_packet(i);
+  p.payload.assign(payload, static_cast<char>('a' + i % 26));
+  return p;
+}
+
+TEST(TraceIo, RecordsStraddlingBufferRefillsRoundTrip) {
+  // The reader refills a 64 KiB buffer; shifting the first record by 0..40
+  // bytes moves every refill edge across every part of a frame (marker,
+  // length, body, checksum).  One payload is larger than the buffer.
+  const std::size_t sizes[] = {0, 15, 16, 0, 16, 15};
+  for (std::size_t shift = 0; shift <= 40; ++shift) {
+    std::vector<Packet> trace = {sized_packet(0, shift)};
+    for (int i = 1; i < 3000; ++i) {
+      trace.push_back(sized_packet(i, sizes[i % 6]));
+      if (i == 1500) trace.push_back(sized_packet(i, 100'000));
+    }
+    std::stringstream buffer;
+    write_trace(buffer, trace);
+    ASSERT_GT(buffer.str().size(), 3u * 64 * 1024);
+    EXPECT_EQ(read_trace(buffer), trace) << "shift " << shift;
+  }
+}
+
+TEST(TraceIo, QuarantineResyncFindsAMarkerBeyondTheBuffer) {
+  // Record 1's length field is forged implausible, so its frame fails
+  // after six bytes and the resync scans its 100 KB payload — through
+  // more than one buffer refill — to record 2's marker.
+  std::vector<Packet> trace = {sized_packet(0, 16),
+                               sized_packet(1, 100'000),
+                               sized_packet(2, 15), sized_packet(3, 0)};
+  for (Packet& p : trace) {
+    for (char& c : p.payload) c = 'x';  // no marker bytes in payloads
+  }
+  std::string bytes = serialized(trace);
+  const std::size_t payload = bytes.find(std::string(1000, 'x'), 100);
+  ASSERT_NE(payload, std::string::npos);
+  // The length field's top byte sits just before record 1's body (the
+  // body's fixed 36 bytes precede the payload).
+  const std::size_t length_top = payload - 36 - 1;
+  bytes[length_top] = static_cast<char>(0xFF);
+
+  std::stringstream strict(bytes);
+  EXPECT_THROW(read_trace(strict), TraceFormatError);
+  std::stringstream corrupted(bytes);
+  TraceReader reader(corrupted, TraceReadOptions{.quarantine = true});
+  std::vector<Packet> got;
+  Packet p;
+  while (reader.next(p)) got.push_back(p);
+  const std::vector<Packet> expected = {trace[0], trace[2], trace[3]};
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(reader.quarantined(), 1u);
+}
+
+/// A string buffer that counts seeks.
+class SeekCountingBuf : public std::stringbuf {
+ public:
+  explicit SeekCountingBuf(const std::string& bytes)
+      : std::stringbuf(bytes, std::ios::in) {}
+  [[nodiscard]] int seeks() const { return seeks_; }
+
+ protected:
+  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                   std::ios_base::openmode which) override {
+    ++seeks_;
+    return std::stringbuf::seekoff(off, dir, which);
+  }
+  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
+    ++seeks_;
+    return std::stringbuf::seekpos(pos, which);
+  }
+
+ private:
+  int seeks_ = 0;
+};
+
+TEST(TraceIo, StrictReadSeeksAConstantNumberOfTimes) {
+  const auto seeks_reading = [](int records) {
+    std::vector<Packet> trace;
+    for (int i = 0; i < records; ++i) trace.push_back(sample_packet(i));
+    SeekCountingBuf buf(serialized(trace));
+    std::istream in(&buf);
+    EXPECT_EQ(read_trace(in).size(), static_cast<std::size_t>(records));
+    return buf.seeks();
+  };
+  const int few = seeks_reading(10);
+  EXPECT_EQ(seeks_reading(1000), few);  // not one per record
+}
+
 }  // namespace
 }  // namespace dpnet::net
