@@ -1,5 +1,6 @@
 // Parallel executor engine bench: a partition-heavy pipeline (400 parts,
-// one filtered noisy count per part) run at 1, 2, and 4 executor threads.
+// one filtered noisy count per part) run at 1, 2, and 4 executor threads;
+// the partition classifies its rows in chunks under the same policy.
 //
 // Two things are measured.  First, determinism: for a fixed seed the noisy
 // outputs must be byte-identical at every thread count — plan-node ids are
@@ -48,7 +49,8 @@ std::vector<double> run_pipeline(const Queryable<std::int64_t>& data,
   std::vector<int> keys(kParts);
   for (int k = 0; k < kParts; ++k) keys[static_cast<std::size_t>(k)] = k;
   auto parts = data.partition(
-      keys, [](std::int64_t v) { return static_cast<int>(v % kParts); });
+      keys, [](std::int64_t v) { return static_cast<int>(v % kParts); },
+      policy);
   return dpnet::core::exec::map_parts(
       policy, keys, parts, [](int, const Queryable<std::int64_t>& part) {
         return part.where([](std::int64_t v) { return v % 7 != 0; })

@@ -1,16 +1,17 @@
 // Scale demonstration: the paper's IspTraffic has 15.7 B de-aggregated
-// packet records — far beyond what the in-memory Queryable path can hold.
-// The StreamingHistogram measures the same link x time load matrix in one
-// pass with O(cells) memory, so dataset size is bounded by time, not RAM.
-// At streaming scale the per-cell counts are large enough that the
-// paper's headline (residual-norm curves indistinguishable even at strong
-// privacy) reproduces quantitatively.
+// packet records — far beyond what a stored Queryable can hold.  A
+// streamed source pulls the records from the generator on demand and
+// never stores them, and one noisy_counts release measures the link x
+// time load matrix in one pass with O(cells) memory, so dataset size is
+// bounded by time, not RAM.  At streaming scale the per-cell counts are
+// large enough that the paper's headline (residual-norm curves
+// indistinguishable even at strong privacy) reproduces quantitatively.
 #include <chrono>
 #include <cstdio>
 
 #include "analysis/anomaly.hpp"
 #include "bench/common.hpp"
-#include "core/streaming.hpp"
+#include "core/queryable.hpp"
 #include "stats/metrics.hpp"
 
 int main() {
@@ -39,23 +40,30 @@ int main() {
     }
   }
   auto budget = std::make_shared<core::RootBudget>(1.0);
-  core::StreamingHistogram<std::int64_t> hist(
-      cells, budget, std::make_shared<core::NoiseSource>(1700));
+  std::uint64_t streamed = 0;
+  const auto records = core::Queryable<net::LinkPacket>::streamed(
+      [&gen, &streamed](core::plan::SourceSink<net::LinkPacket>& sink) {
+        gen.stream([&sink, &streamed](const net::LinkPacket& r) {
+          ++streamed;
+          sink(r);
+        });
+      },
+      budget, std::make_shared<core::NoiseSource>(1700));
 
+  const double eps = 0.1;  // strong privacy
   const auto t0 = std::chrono::steady_clock::now();
-  gen.stream([&hist, &cfg](const net::LinkPacket& r) {
-    hist.feed(static_cast<std::int64_t>(r.link) * cfg.windows + r.window);
-  });
+  const std::vector<double> released = records.noisy_counts(
+      cells,
+      [&cfg](const net::LinkPacket& r) {
+        return static_cast<std::int64_t>(r.link) * cfg.windows + r.window;
+      },
+      eps);
   const auto t1 = std::chrono::steady_clock::now();
   const double seconds =
       std::chrono::duration<double>(t1 - t0).count();
-  bench::kv("records streamed", static_cast<double>(hist.records_seen()));
+  bench::kv("records streamed", static_cast<double>(streamed));
   bench::kv("ingest seconds", seconds);
-  bench::kv("records/second",
-            static_cast<double>(hist.records_seen()) / seconds);
-
-  const double eps = 0.1;  // strong privacy
-  const auto released = hist.release(eps);
+  bench::kv("records/second", static_cast<double>(streamed) / seconds);
   bench::kv("privacy spent for the whole matrix", budget->spent());
 
   analysis::AnomalyOptions opt;
@@ -66,7 +74,7 @@ int main() {
   for (int l = 0; l < cfg.links; ++l) {
     for (int w = 0; w < cfg.windows; ++w) {
       noisy(static_cast<std::size_t>(l), static_cast<std::size_t>(w)) =
-          released.at(static_cast<std::int64_t>(l) * cfg.windows + w);
+          released[static_cast<std::size_t>(l * cfg.windows + w)];
     }
   }
   const auto noisy_norms = analysis::anomaly_norms(noisy, opt);

@@ -8,6 +8,7 @@
 //   $ ./quickstart
 #include <cstdio>
 #include <memory>
+#include <tuple>
 
 #include "core/queryable.hpp"
 #include "net/packet.hpp"
@@ -66,7 +67,7 @@ int main() {
 
   // ...after which further aggregations are refused.
   try {
-    packets.noisy_count(10.0);
+    std::ignore = packets.noisy_count(10.0);
   } catch (const core::BudgetExhaustedError& e) {
     std::printf("over-budget query refused: %s\n", e.what());
   }

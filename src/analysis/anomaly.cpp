@@ -30,20 +30,16 @@ linalg::Matrix dp_link_time_matrix(
   linalg::Matrix counts(static_cast<std::size_t>(options.links),
                         static_cast<std::size_t>(options.windows));
   auto rows = records.partition(
-      link_keys, [](const LinkPacket& r) { return r.link; });
-  // Each link's row (an inner window partition plus one count per cell)
-  // derives only from that link's part, so rows are independent branches
-  // and fan out under the executor policy.
+      link_keys, [](const LinkPacket& r) { return r.link; }, options.exec);
+  // Each link's row (one window histogram) derives only from that link's
+  // part, so rows are independent branches and fan out under the
+  // executor policy.
   const double eps = options.eps;
   const std::vector<std::vector<double>> row_counts = core::exec::map_parts(
       options.exec, link_keys, rows,
       [&window_keys, eps](int, const core::Queryable<LinkPacket>& row) {
-        auto cells = row.partition(
-            window_keys, [](const LinkPacket& r) { return r.window; });
-        std::vector<double> out;
-        out.reserve(window_keys.size());
-        for (int w : window_keys) out.push_back(cells.at(w).noisy_count(eps));
-        return out;
+        return row.noisy_counts(
+            window_keys, [](const LinkPacket& r) { return r.window; }, eps);
       });
   for (int l = 0; l < options.links; ++l) {
     for (int w = 0; w < options.windows; ++w) {

@@ -115,7 +115,6 @@ std::vector<StonePairScore> dp_stepping_stones(
   iopt.max_size = 2;
   iopt.eps_per_level = options.eps_itemset;
   iopt.threshold = options.itemset_threshold;
-  iopt.exec = options.exec;
   const auto itemsets = toolkit::frequent_itemsets(bins, universe, iopt);
 
   std::vector<std::pair<int, int>> pairs;
@@ -130,7 +129,8 @@ std::vector<StonePairScore> dp_stepping_stones(
   // Score candidates: Partition the activations by flow (the paper's
   // cost-saving step), then for a pair (f, g) count the bins both occupy.
   auto parts = activations.partition(
-      universe, [](const std::pair<int, std::int64_t>& a) { return a.first; });
+      universe, [](const std::pair<int, std::int64_t>& a) { return a.first; },
+      options.exec);
 
   struct FlowBins {
     core::Queryable<std::int64_t> bins;      // distinct occupied bins

@@ -26,9 +26,10 @@ struct SteppingStoneOptions {
   double eps_eval = 0.0;     // per count when scoring a pair (0 rejects)
   int top_k = 20;
   std::size_t max_eval_pairs = 64;
-  // Forwarded to the itemset mining stage.  Pair scoring itself stays
-  // sequential: the joins cross partition branches and share a memoized
-  // per-flow bin cache, so its releases are not independent branches.
+  // The activation partition classifies its rows under this policy.
+  // Pair scoring itself stays sequential: the joins cross partition
+  // branches and share a memoized per-flow bin cache, so its releases are
+  // not independent branches.
   core::exec::ExecPolicy exec;
 };
 

@@ -60,7 +60,7 @@ std::vector<double> dp_monitor_averages(
   }
   const auto keys = iota_keys(options.monitors);
   auto parts = records.partition(
-      keys, [](const ScatterRecord& r) { return r.monitor; });
+      keys, [](const ScatterRecord& r) { return r.monitor; }, options.exec);
   const double eps = options.eps_averages;
   const double magnitude = options.hop_magnitude;
   return core::exec::map_parts(
@@ -112,9 +112,11 @@ TopologyResult dp_topology_clustering(
   for (int iter = 0; iter < options.iterations; ++iter) {
     const linalg::Matrix centers = result.centers;  // captured by value
     auto parts = vectors.partition(
-        cluster_keys, [centers](const std::vector<double>& v) {
+        cluster_keys,
+        [centers](const std::vector<double>& v) {
           return static_cast<int>(linalg::nearest_center(v, centers));
-        });
+        },
+        options.exec);
     // Each cluster's count + per-coordinate sums touch only its own
     // partition branch; the clusters fan out under the executor policy.
     const int monitors = options.monitors;

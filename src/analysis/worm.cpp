@@ -75,8 +75,8 @@ WormResult dp_worm_fingerprint(const core::Queryable<Packet>& packets,
   if (candidates.empty()) return result;
 
   auto parts = with_payload.partition(
-      candidates,
-      [len](const Packet& p) { return p.payload.substr(0, len); });
+      candidates, [len](const Packet& p) { return p.payload.substr(0, len); },
+      options.exec);
   // Each candidate's dispersion measurements derive only from its own
   // partition branch, so the candidates fan out under the executor policy.
   std::unordered_map<std::string, double> counts;

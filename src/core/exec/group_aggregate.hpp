@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -65,7 +66,139 @@ inline ChunkBounds chunk_bounds(std::size_t n, std::size_t workers,
   return {lo, lo + base + (w < rem ? 1 : 0)};
 }
 
+/// Chunks of a pass over n rows: one per policy thread, at most n, at
+/// least one.
+inline std::size_t chunk_count(const ExecPolicy& policy, std::size_t n) {
+  return std::max<std::size_t>(1, std::min(policy.threads, n));
+}
+
+/// Runs `body(w, lo, hi)` for the chunk_count(policy, n) contiguous
+/// chunks w of [0, n): inline when that is one chunk (no executor, so no
+/// task events), else one executor task per chunk.
+template <typename Body>
+void run_chunks(const ExecPolicy& policy, std::size_t n, const Body& body) {
+  const std::size_t workers = chunk_count(policy, n);
+  if (workers == 1) {
+    body(0, 0, n);
+    return;
+  }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(workers);
+  // Task construction only; the row loops run under Executor::run.
+  // dpnet-lint: suppress(R11)
+  for (std::size_t w = 0; w < workers; ++w) {
+    tasks.push_back([&body, n, workers, w] {
+      const auto [lo, hi] = chunk_bounds(n, workers, w);
+      body(w, lo, hi);
+    });
+  }
+  Executor(policy).run(std::move(tasks));
+}
+
+/// parallel_buckets with a per-row slot array of `Slot`, the narrowest
+/// type holding every bucket index plus the drop marker.
+template <typename Slot, typename V, typename SlotF>
+std::vector<std::vector<V>> bucket_rows(const ExecPolicy& policy,
+                                        const std::vector<V>& rows,
+                                        std::size_t buckets,
+                                        const SlotF& slot_of) {
+  constexpr Slot kDrop = std::numeric_limits<Slot>::max();
+  // Pass 1: classify each row once, counting bucket sizes per chunk.
+  std::vector<Slot> slots(rows.size());
+  std::vector<std::vector<std::size_t>> sizes(
+      chunk_count(policy, rows.size()));
+  run_chunks(
+      policy, rows.size(), [&](std::size_t w, std::size_t lo, std::size_t hi) {
+        sizes[w].assign(buckets, 0);
+        for (std::size_t i = lo; i < hi; ++i) {
+          if ((i & (kGroupCheckpointStride - 1)) == 0) {
+            guard_checkpoint("exec.classify");
+          }
+          const std::uint32_t slot = slot_of(rows[i]);
+          slots[i] = slot == grouping::kNoSlot ? kDrop
+                                               : static_cast<Slot>(slot);
+          if (slot != grouping::kNoSlot) ++sizes[w][slot];
+        }
+      });
+  // Pass 2: every bucket at its exact size, filled in row order, so each
+  // kept row is copied once, straight into place.  Chunk w's rows of
+  // bucket b start where the earlier chunks' rows of b end, which lets
+  // the chunks fill their rows concurrently.
+  std::vector<std::vector<V>> out(buckets);
+  for (std::size_t b = 0; b < buckets; ++b) {
+    guard_checkpoint("exec.classify");
+    std::size_t size = 0;
+    for (auto& chunk : sizes) size += std::exchange(chunk[b], size);
+    out[b].resize(size);
+  }
+  run_chunks(
+      policy, rows.size(), [&](std::size_t w, std::size_t lo, std::size_t hi) {
+        std::vector<std::size_t>& next = sizes[w];
+        for (std::size_t i = lo; i < hi; ++i) {
+          if ((i & (kGroupCheckpointStride - 1)) == 0) {
+            guard_checkpoint("exec.classify");
+          }
+          const Slot slot = slots[i];
+          if (slot != kDrop) out[slot][next[slot]++] = rows[i];
+        }
+      });
+  return out;
+}
+
 }  // namespace group_detail
+
+/// Counts rows per cell: tally[c] is the number of rows whose
+/// slot_of(row) is c; rows whose slot is grouping::kNoSlot are dropped.
+/// Workers tally contiguous chunks privately (O(cells) each) and the
+/// integer tallies are summed, so the counts are exact at any thread
+/// count.  `slot_of` runs once per row, concurrently across workers.
+template <typename V, typename SlotF>
+[[nodiscard]] std::vector<std::uint64_t> parallel_tally(
+    const ExecPolicy& policy, const std::vector<V>& rows, std::size_t cells,
+    const SlotF& slot_of) {
+  std::vector<std::vector<std::uint64_t>> tallies(
+      group_detail::chunk_count(policy, rows.size()));
+  group_detail::run_chunks(
+      policy, rows.size(), [&](std::size_t w, std::size_t lo, std::size_t hi) {
+        tallies[w].assign(cells, 0);
+        for (std::size_t i = lo; i < hi; ++i) {
+          if ((i & (kGroupCheckpointStride - 1)) == 0) {
+            guard_checkpoint("exec.tally");
+          }
+          const std::uint32_t slot = slot_of(rows[i]);
+          if (slot != grouping::kNoSlot) ++tallies[w][slot];
+        }
+      });
+  for (std::size_t w = 1; w < tallies.size(); ++w) {
+    guard_checkpoint("exec.tally");
+    for (std::size_t c = 0; c < cells; ++c) tallies[0][c] += tallies[w][c];
+  }
+  return std::move(tallies[0]);
+}
+
+/// Splits `rows` into `buckets` exactly-sized vectors, bucket b holding
+/// the rows whose slot_of(row) is b in row order (rows whose slot is
+/// grouping::kNoSlot are dropped): the same buckets at any thread count.
+/// `slot_of` runs once per row, concurrently across workers, and a slot
+/// array of one, two or four bytes per row remembers its answer, so no
+/// kept row is ever held twice beyond `rows` itself.  Rows are placed by
+/// assignment into default-constructed slots.  With one worker this is
+/// slower than a single push_back pass for small rows, so partition only
+/// uses it under a parallel policy.
+template <typename V, typename SlotF>
+  requires std::is_default_constructible_v<V>
+[[nodiscard]] std::vector<std::vector<V>> parallel_buckets(
+    const ExecPolicy& policy, const std::vector<V>& rows, std::size_t buckets,
+    const SlotF& slot_of) {
+  using group_detail::bucket_rows;
+  if (buckets < 0xFF) {
+    return bucket_rows<std::uint8_t>(policy, rows, buckets, slot_of);
+  }
+  if (buckets < 0xFFFF) {
+    return bucket_rows<std::uint16_t>(policy, rows, buckets, slot_of);
+  }
+  return bucket_rows<std::uint32_t>(policy, rows, buckets, slot_of);
+}
 
 /// Groups `rows` by `key(row)` with the executor, returning exactly what
 /// the sequential GroupBuilder loop returns: groups in first-occurrence
@@ -99,56 +232,47 @@ template <typename V, typename KeyF>
     std::vector<std::uint64_t> first_row;   // per local slot, global index
   };
   std::vector<std::vector<Acc>> accs(workers);
-  {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(workers);
-    // Task construction only; the row loops run under Executor::run.
-    // dpnet-lint: suppress(R11)
-    for (std::size_t w = 0; w < workers; ++w) {
-      tasks.push_back([&rows, &accs, &key, n, workers, w] {
-        const auto [lo, hi] = group_detail::chunk_bounds(n, workers, w);
-        std::vector<Acc>& mine = accs[w];
-        mine.resize(kGroupRadixParts);
-        // Hash-then-probe block scan (same shape as GroupBuilder::
-        // add_block): hash a block, prefetch each key's destination
-        // bucket, then probe, so the per-partition table misses overlap.
-        std::vector<K> bkeys;
-        std::vector<std::uint64_t> bhashes;
-        bkeys.reserve(grouping::kScanBlock);
-        bhashes.reserve(grouping::kScanBlock);
-        for (std::size_t blo = lo; blo < hi; blo += grouping::kScanBlock) {
-          guard_checkpoint("exec.group_chunk");
-          const std::size_t bhi = std::min(hi, blo + grouping::kScanBlock);
-          bkeys.clear();
-          bhashes.clear();
-          // Bounded at kScanBlock rows; the enclosing block loop
-          // checkpoints, so the guard still fires every block.
-          // dpnet-lint: suppress(R11)
-          for (std::size_t i = blo; i < bhi; ++i) {
-            bkeys.push_back(key(rows[i]));
-            const std::uint64_t h = grouping::mixed_hash<K>(bkeys.back());
-            bhashes.push_back(h);
-            mine[(h >> 32) & (kGroupRadixParts - 1)].table.prefetch_hashed(h);
-          }
-          // Bounded at kScanBlock rows — see above.
-          // dpnet-lint: suppress(R11)
-          for (std::size_t j = 0; j < bkeys.size(); ++j) {
-            const std::size_t i = blo + j;
-            const std::uint64_t h = bhashes[j];
-            Acc& acc = mine[(h >> 32) & (kGroupRadixParts - 1)];
-            const auto [slot, inserted] =
-                acc.table.acquire_hashed(std::move(bkeys[j]), h);
-            if (inserted) {
-              acc.items.emplace_back();
-              acc.first_row.push_back(i);
-            }
-            acc.items[slot].push_back(rows[i]);
-          }
+  group_detail::run_chunks(policy, n, [&](std::size_t w, std::size_t lo,
+                                          std::size_t hi) {
+    std::vector<Acc>& mine = accs[w];
+    mine.resize(kGroupRadixParts);
+    // Hash-then-probe block scan (same shape as GroupBuilder::add_block):
+    // hash a block, prefetch each key's destination bucket, then probe,
+    // so the per-partition table misses overlap.
+    std::vector<K> bkeys;
+    std::vector<std::uint64_t> bhashes;
+    bkeys.reserve(grouping::kScanBlock);
+    bhashes.reserve(grouping::kScanBlock);
+    for (std::size_t blo = lo; blo < hi; blo += grouping::kScanBlock) {
+      guard_checkpoint("exec.group_chunk");
+      const std::size_t bhi = std::min(hi, blo + grouping::kScanBlock);
+      bkeys.clear();
+      bhashes.clear();
+      // Bounded at kScanBlock rows; the enclosing block loop
+      // checkpoints, so the guard still fires every block.
+      // dpnet-lint: suppress(R11)
+      for (std::size_t i = blo; i < bhi; ++i) {
+        bkeys.push_back(key(rows[i]));
+        const std::uint64_t h = grouping::mixed_hash<K>(bkeys.back());
+        bhashes.push_back(h);
+        mine[(h >> 32) & (kGroupRadixParts - 1)].table.prefetch_hashed(h);
+      }
+      // Bounded at kScanBlock rows — see above.
+      // dpnet-lint: suppress(R11)
+      for (std::size_t j = 0; j < bkeys.size(); ++j) {
+        const std::size_t i = blo + j;
+        const std::uint64_t h = bhashes[j];
+        Acc& acc = mine[(h >> 32) & (kGroupRadixParts - 1)];
+        const auto [slot, inserted] =
+            acc.table.acquire_hashed(std::move(bkeys[j]), h);
+        if (inserted) {
+          acc.items.emplace_back();
+          acc.first_row.push_back(i);
         }
-      });
+        acc.items[slot].push_back(rows[i]);
+      }
     }
-    Executor(policy).run(std::move(tasks));
-  }
+  });
 
   // Phase 2: deterministic per-partition merge in worker (= row) order.
   struct MergedGroup {

@@ -2,8 +2,8 @@
 //
 // GroupTable maps keys to dense slot indices (0, 1, 2, ... in first-
 // occurrence order) and is the engine under group_by / group_by_spans /
-// distinct / join / the set ops / partition, StreamingHistogram::feed,
-// and the toolkit miners.  The paper's workloads de-aggregate to
+// distinct / join / the set ops / partition / noisy_counts, and the
+// toolkit miners.  The paper's workloads de-aggregate to
 // billions of records, so the per-record cost of this table *is* the
 // cost of the engine — std::unordered_map's node-per-key layout spends
 // most of its time cache-missing through pointers.
@@ -142,7 +142,7 @@ class GroupTable {
 
   /// Dense slot index of `key`, or kNoSlot.  Read-only: safe to call
   /// concurrently from executor workers while no thread mutates the
-  /// table (StreamingHistogram's parallel feed relies on this).
+  /// table (the chunked partition and noisy_counts tallies rely on this).
   [[nodiscard]] std::uint32_t find(const K& key) const {
     return find_hashed(key, mixed_hash<K, Hash>(key));
   }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
 #include <optional>
+#include <unordered_map>
 
 #include "core/errors.hpp"
 #include "core/json.hpp"
@@ -361,9 +363,38 @@ Counter& journal_events_dropped() {
   return c;
 }
 
+namespace {
+
+/// String hash that also takes string_views, for allocation-free lookups.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// Resolves a name-keyed handle once per thread: the registry never
+/// erases an entry, so the cached pointer stays valid, and a hit takes
+/// no registry lock and builds no string.  Each call site instantiates
+/// its own cache (`resolve` is a distinct lambda type).
+template <typename Metric, typename Resolve>
+Metric& cached_handle(std::string_view name, const Resolve& resolve) {
+  thread_local std::unordered_map<std::string, Metric*, NameHash,
+                                  std::equal_to<>>
+      cache;
+  if (const auto it = cache.find(name); it != cache.end()) return *it->second;
+  Metric& metric = resolve();
+  cache.emplace(std::string(name), &metric);
+  return metric;
+}
+
+}  // namespace
+
 Gauge& eps_charged(std::string_view mechanism) {
-  return MetricsRegistry::global().gauge("eps.charged." +
-                                         std::string(mechanism));
+  return cached_handle<Gauge>(mechanism, [mechanism]() -> Gauge& {
+    return MetricsRegistry::global().gauge("eps.charged." +
+                                           std::string(mechanism));
+  });
 }
 
 namespace {
@@ -406,9 +437,11 @@ Histogram& query_wall_ms() {
 }
 
 Histogram& op_wall_ms(std::string_view kind) {
-  return MetricsRegistry::global().histogram(
-      "op.wall_ms." + std::string(kind),
-      {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0});
+  return cached_handle<Histogram>(kind, [kind]() -> Histogram& {
+    return MetricsRegistry::global().histogram(
+        "op.wall_ms." + std::string(kind),
+        {0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0});
+  });
 }
 
 void observe_op_wall_ms(std::string_view kind, double ms) {

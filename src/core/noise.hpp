@@ -4,9 +4,18 @@
 // that experiments are reproducible under a fixed seed.  (The privacy
 // guarantee itself of course requires a cryptographically unpredictable
 // seed in production; seeding is the data owner's deployment concern.)
+//
+// The stream is exactly std::mt19937_64 seeded with the NoiseSource's
+// seed.  Most sources are per-release forks that draw once or a few
+// times, so the first outputs are computed straight from the seed:
+// MT19937-64's output k (k < 156) depends only on the seeded state words
+// x[k], x[k+1] and x[k+156], which the seeding recurrence yields in
+// order.  The 312-word engine is built (and advanced past the direct
+// draws) only when a longer stream or engine() needs it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <random>
 
@@ -50,15 +59,27 @@ class NoiseSource {
   /// leaves the trusted side.
   [[nodiscard]] std::uint64_t stream_base();
 
-  /// Access to the underlying engine for composing with <random>.
+  /// Access to the underlying engine for composing with <random>; it
+  /// continues the stream exactly where the direct draws left it.
   /// NOT thread-safe; callers who use the raw engine own the locking.
-  std::mt19937_64& engine() { return rng_; }
+  std::mt19937_64& engine();
 
  private:
-  std::uint64_t raw();  // locked draw from the engine
+  std::uint64_t raw();  // locked next output of the stream
+  /// The engine, built on first use and advanced past the direct draws.
+  /// Callers serialize: under mutex_, or by engine()'s contract.
+  std::mt19937_64& full_engine();
 
   std::mutex mutex_;
-  std::mt19937_64 rng_;
+  std::uint64_t seed_;
+  // Direct draws (no engine yet): the outputs taken so far, and the seeded
+  // words x[drawn_], x[drawn_ + 1] and x[drawn_ + 156] (set up on the
+  // first draw).
+  std::uint64_t drawn_ = 0;
+  std::uint64_t lo_ = 0;
+  std::uint64_t lo_next_ = 0;
+  std::uint64_t hi_ = 0;
+  std::unique_ptr<std::mt19937_64> rng_;  // built on demand
 };
 
 }  // namespace dpnet::core

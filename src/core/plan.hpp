@@ -37,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -55,6 +56,16 @@ using NodeId = std::uint64_t;
 
 inline constexpr NodeId kRootSalt = 0x706c616e726f6f74ULL;     // "planroot"
 inline constexpr NodeId kReleaseSalt = 0x72656c65617365ULL;    // "release"
+
+/// Seed of the NoiseSource backing release number `ordinal` of node `id`
+/// under root noise stream `stream`.  Mixing (stream base, node id,
+/// per-node release ordinal) makes every aggregation's noise independent
+/// of both sibling nodes and thread schedule.
+[[nodiscard]] inline std::uint64_t release_seed(std::uint64_t stream,
+                                                NodeId id,
+                                                std::uint64_t ordinal) {
+  return mix64(mix64(mix64(kReleaseSalt, stream), id), ordinal);
+}
 
 /// Type-erased plan node: identity, operator metadata, and DAG edges.
 /// The typed rows live in the Node<T> subclass.
@@ -107,14 +118,11 @@ class NodeBase {
     return mix64(id_, child_ordinal_.fetch_add(1, std::memory_order_relaxed));
   }
 
-  /// Seed for the NoiseSource fork backing this node's next release.
-  /// Mixing (stream base, node id, per-node release ordinal) makes every
-  /// aggregation's noise independent of both sibling nodes and thread
-  /// schedule.
+  /// Seed for the NoiseSource fork backing this node's next release
+  /// (release_seed() at the node's next release ordinal).
   [[nodiscard]] std::uint64_t next_release_seed(std::uint64_t stream) const {
-    const std::uint64_t ordinal =
-        release_ordinal_.fetch_add(1, std::memory_order_relaxed);
-    return mix64(mix64(mix64(kReleaseSalt, stream), id_), ordinal);
+    return release_seed(
+        stream, id_, release_ordinal_.fetch_add(1, std::memory_order_relaxed));
   }
 
   /// Indented rendering of the reachable DAG (operator, short id, and a
@@ -176,9 +184,44 @@ class RowSink {
   void (*call_)(void*, const T&);
 };
 
-/// A typed plan node.  Three kinds share it:
+/// The sink a streamed source's generator pushes its rows into.  Rows
+/// are copied into a buffer of default-constructed rows and handed to
+/// the consumer kRows at a time, so the consumer's indirect call and the
+/// guard checkpoint are paid per batch, not per row.  Valid only during
+/// the generator's call.
+template <typename T>
+class SourceSink {
+ public:
+  static constexpr std::size_t kRows = 1024;
+
+  explicit SourceSink(RowSink<std::span<const T>> consumer)
+      : consumer_(consumer), buffer_(kRows) {}
+
+  void operator()(const T& row) {
+    buffer_[size_] = row;
+    if (++size_ == kRows) flush();
+  }
+
+  /// Hands the buffered rows to the consumer.
+  void flush() {
+    if (size_ == 0) return;
+    consumer_(std::span<const T>(buffer_.data(), size_));
+    size_ = 0;
+  }
+
+ private:
+  RowSink<std::span<const T>> consumer_;
+  std::vector<T> buffer_;
+  std::size_t size_ = 0;
+};
+
+/// A typed plan node.  Four kinds share it:
 ///
 ///   source  — holds an immutable, shareable row buffer from construction;
+///   streamed source — a Generate body that pushes the source's rows into
+///             a SourceSink on every demand (a generator, a DPNT reader)
+///             and never stores them, so a dataset larger than memory can
+///             be scanned in O(1) rows;
 ///   narrow  — a Stream body (where/select/select_many) that pushes its
 ///             output rows into a sink; scan() fuses it into its consumer;
 ///   wide    — a Compute body that builds and stores its output rows.
@@ -200,11 +243,23 @@ class Node final : public NodeBase {
   using Stream = std::function<std::size_t(NodeId, RowSink<T>)>;
   /// Wide body: returns the output rows and reports the input row count.
   using Compute = std::function<Rows(std::size_t& input_rows)>;
+  /// Streamed source body: pushes every row of the source into the sink.
+  using Generate = std::function<void(SourceSink<T>&)>;
 
   /// Source node (protected datasets, partition parts): shares `rows`.
   Node(NodeId id, std::string op, std::shared_ptr<const Rows> rows)
       : NodeBase(id, std::move(op), 1.0), rows_(std::move(rows)) {
     held_.store(rows_.get(), std::memory_order_release);
+    mark_materialized();
+  }
+
+  /// Streamed source node: `generate` runs again on every demand, one
+  /// demand at a time, so it need not be reentrant.  Like any source it
+  /// is evaluated from construction (no span, no row charge); its scans
+  /// checkpoint the guard once per SourceSink batch.
+  Node(NodeId id, std::string op, Generate generate)
+    requires std::is_default_constructible_v<T>
+      : NodeBase(id, std::move(op), 1.0), generate_(std::move(generate)) {
     mark_materialized();
   }
 
@@ -233,20 +288,44 @@ class Node final : public NodeBase {
 
   /// The node's rows, storing them first if the node holds none yet.
   /// For callers that need rows addressable (the parallel group_by's
-  /// chunks, join's build side, data_unsafe()).
+  /// chunks, join's build side, data_unsafe()).  A streamed source
+  /// stores nothing and refuses.
   const Rows& rows() {
     if (const Rows* held = held_rows()) return *held;
+    if (generate_) {
+      throw InvalidQueryError("a streamed source never stores its rows");
+    }
     const std::lock_guard<std::mutex> lock(mutex_);
     if (held_rows() == nullptr) store_locked();
     return *held_rows();
   }
 
+  /// The rows scan() would read in place — held rows, or rows stored now
+  /// (a wide node's first demand, a narrow node's second) — or nullptr
+  /// when scan() would stream instead (an unevaluated narrow node, a
+  /// streamed source).  Consumers that split their input into chunks
+  /// (partition, noisy_counts) chunk these rows and stream otherwise.
+  const Rows* rows_in_place() {
+    if (const Rows* held = held_rows()) return held;
+    if (generate_) return nullptr;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (held_rows() == nullptr) {
+      if (stream_ && !materialized()) return nullptr;
+      store_locked();
+    }
+    return held_rows();
+  }
+
   /// The node's output row count.  A narrow node that has run its fused
-  /// pass remembers the count, so counting it again re-runs nothing.
+  /// pass remembers the count, so counting it again re-runs nothing; a
+  /// streamed source streams again.
   std::size_t count() {
     const Rows* held = held_rows();
     if (held == nullptr) {
       const std::lock_guard<std::mutex> lock(mutex_);
+      if constexpr (std::is_default_constructible_v<T>) {
+        if (generate_) return generate_into(kDiscard);
+      }
       if (held_rows() == nullptr && stream_) {
         return materialized() ? out_rows_ : first_fused_pass(kDiscard);
       }
@@ -259,7 +338,8 @@ class Node final : public NodeBase {
   /// Calls `f(row)` for every output row, in order, and returns the row
   /// count.  A node holding rows is read in place; an unevaluated narrow
   /// node runs its chain fused into `f` (its first evaluation), storing
-  /// nothing; any other node stores its rows first (see rows()).
+  /// nothing; a streamed source streams into `f`; any other node stores
+  /// its rows first (see rows()).
   ///
   /// Fault containment (docs/robustness.md): `f` runs inside the
   /// upstream narrow nodes' loops, which contain only their own analyst
@@ -271,6 +351,9 @@ class Node final : public NodeBase {
     const Rows* held = held_rows();
     if (held == nullptr) {
       const std::lock_guard<std::mutex> lock(mutex_);
+      if constexpr (std::is_default_constructible_v<T>) {
+        if (generate_) return generate_into(f);
+      }
       if (held_rows() == nullptr) {
         if (stream_ && !materialized()) return first_fused_pass(f);
         store_locked();
@@ -282,6 +365,24 @@ class Node final : public NodeBase {
   }
 
  private:
+  /// Streamed source (mutex held, so the generator never runs
+  /// concurrently with itself): runs the generator into `sink` one batch
+  /// at a time, checkpointing the guard before each batch, and returns
+  /// the row count.
+  template <typename F>
+  std::size_t generate_into(F& sink) const {
+    std::size_t rows = 0;
+    auto batch = [this, &rows, &sink](std::span<const T> part) {
+      guard_checkpoint(op().c_str(), id());
+      for (const T& row : part) sink(row);
+      rows += part.size();
+    };
+    SourceSink<T> source{RowSink<std::span<const T>>(batch)};
+    generate_(source);
+    source.flush();
+    return rows;
+  }
+
   /// Narrow node, first demand (mutex held): streams straight into the
   /// consumer's `sink` under the full evaluation bookkeeping.
   template <typename F>
@@ -367,12 +468,15 @@ class Node final : public NodeBase {
 
   static constexpr auto kDiscard = [](const T&) {};
 
-  std::mutex mutex_;  // serializes evaluation; held rows are immutable
+  // Serializes evaluation and a streamed source's scans; held rows are
+  // immutable.
+  std::mutex mutex_;
   std::size_t out_rows_ = 0;  // a fused pass's output count (mutex_)
   std::atomic<const Rows*> held_{nullptr};
   std::shared_ptr<const Rows> rows_;
   Stream stream_;
   Compute compute_;
+  const Generate generate_;
   bool traced_ = false;
 };
 

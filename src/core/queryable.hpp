@@ -88,6 +88,21 @@ std::string key_to_tag(const K& k, std::size_t index) {
   }
 }
 
+/// Dense index of an analyst's key list: slot i is keys[i].  Throws
+/// InvalidQueryError("<op> keys must be distinct") on a repeated key.
+template <typename K>
+grouping::GroupTable<K> index_keys(const std::vector<K>& keys,
+                                   const char* op) {
+  grouping::GroupTable<K> index;
+  index.reserve(keys.size());
+  for (const auto& k : keys) {
+    if (!index.acquire(k).second) {
+      throw InvalidQueryError(std::string(op) + " keys must be distinct");
+    }
+  }
+  return index;
+}
+
 }  // namespace detail
 
 template <typename T>
@@ -121,6 +136,30 @@ class Queryable {
     stream_ = noise_->stream_base();
     node_ = std::make_shared<plan::Node<T>>(mix64(plan::kRootSalt, stream_),
                                             "source", std::move(rows));
+  }
+
+  /// A protected dataset read from a stream instead of memory (a trace
+  /// generator, a DPNT reader): `generate(sink)` pushes every record into
+  /// `sink` (a plan::SourceSink<T>&) and runs again on every demand, so
+  /// the records are never stored and a dataset larger than memory can
+  /// be queried — a noisy_counts() over it keeps O(keys) memory.
+  /// Concurrent demands run `generate` one at a time.  Rows must be
+  /// default-constructible (the sink buffers them).  Operators that need
+  /// stored rows (data_unsafe(), the parallel group_by, join's build
+  /// side) refuse it with InvalidQueryError.
+  template <typename GenerateF>
+    requires std::is_default_constructible_v<T>
+  [[nodiscard]] static Queryable<T> streamed(
+      GenerateF generate, std::shared_ptr<PrivacyBudget> budget,
+      std::shared_ptr<NoiseSource> noise) {
+    if (!budget) throw InvalidQueryError("queryable requires a budget");
+    if (!noise) throw InvalidQueryError("queryable requires a noise source");
+    const std::uint64_t stream = noise->stream_base();
+    auto node = std::make_shared<plan::Node<T>>(
+        mix64(plan::kRootSalt, stream), "stream",
+        typename plan::Node<T>::Generate(std::move(generate)));
+    return Queryable<T>(std::move(node), {{std::move(budget), 1.0}},
+                        std::move(noise), stream);
   }
 
   // ---------------------------------------------------------------------
@@ -386,22 +425,25 @@ class Queryable {
   /// Splits the dataset into one protected part per key in `keys`.
   /// Records whose key is not listed are dropped (PINQ semantics).  The
   /// cumulative privacy cost to this queryable is the *maximum* over the
-  /// parts, not the sum — the paper's central cost-saving device.
+  /// parts, not the sum — the paper's central cost-saving device.  When
+  /// each part would only release one count, noisy_counts() is the same
+  /// release in one pass.
   ///
   /// Parts are created in `keys` order, so their plan-node ids (and hence
   /// their noise streams and trace tags) do not depend on the key type's
   /// hash order.  Independent parts can be aggregated concurrently via
-  /// core::exec.  Each kept record is copied once, into its part.
+  /// core::exec.  Each kept record is copied once, into its part, in row
+  /// order.  Sequentially that is one in-order pass.  Under a parallel
+  /// `policy`, stored input rows of a default-constructible type are
+  /// classified in contiguous chunks (`key` is then called concurrently,
+  /// once per row) and each part is allocated at its exact size; an
+  /// unevaluated narrow chain still streams through one in-order pass.
   template <typename K, typename KeyF>
   [[nodiscard]] std::unordered_map<K, Queryable<T>> partition(
-      const std::vector<K>& keys, KeyF key) const {
-    grouping::GroupTable<K> key_index;
-    key_index.reserve(keys.size());
-    for (const auto& k : keys) {
-      if (!key_index.acquire(k).second) {
-        throw InvalidQueryError("partition keys must be distinct");
-      }
-    }
+      const std::vector<K>& keys, KeyF key,
+      exec::ExecPolicy policy = {}) const {
+    const grouping::GroupTable<K> key_index =
+        detail::index_keys(keys, "partition");
     // Partition is eager, so its span is recorded at call time; each
     // part's later aggregations carry a "partition[key]" annotation so the
     // trace shows the per-branch charges behind the max-cost rule.
@@ -415,15 +457,29 @@ class Queryable {
           std::make_shared<PartitionGroup>(c.budget, node_->id()));
     }
     guard_checkpoint("partition", node_->id());
-    // key_index slot i corresponds to keys[i] (acquire order above), so
-    // the buckets are a dense vector in `keys` order.
-    std::vector<std::vector<T>> buckets(keys.size());
-    const std::size_t input_rows =
+    // key_index slot i corresponds to keys[i], so the buckets are a dense
+    // vector in `keys` order.
+    std::size_t input_rows = 0;
+    std::vector<std::vector<T>> buckets =
         contain_analyst("partition", node_->id(), [&] {
-          return node_->scan([&](const T& x) {
-            const std::uint32_t slot = key_index.find(key(x));
-            if (slot != grouping::kNoSlot) buckets[slot].push_back(x);
+          const auto slot_of = [&](const T& x) {
+            return key_index.find(key(x));
+          };
+          if constexpr (std::is_default_constructible_v<T>) {
+            const auto* rows =
+                policy.threads > 1 ? node_->rows_in_place() : nullptr;
+            if (rows != nullptr) {
+              input_rows = rows->size();
+              return exec::parallel_buckets(policy, *rows, keys.size(),
+                                            slot_of);
+            }
+          }
+          std::vector<std::vector<T>> streamed(keys.size());
+          input_rows = node_->scan([&](const T& x) {
+            const std::uint32_t slot = slot_of(x);
+            if (slot != grouping::kNoSlot) streamed[slot].push_back(x);
           });
+          return streamed;
         });
     scope.set_stability(total_stability());
     scope.set_rows(static_cast<std::int64_t>(input_rows),
@@ -452,6 +508,66 @@ class Queryable {
   // ---------------------------------------------------------------------
   // Aggregations (the only way information crosses the privacy curtain)
   // ---------------------------------------------------------------------
+
+  /// Noisy count per key: value i is the number of records whose
+  /// `key(record)` is keys[i], plus Laplace(stability / eps) noise
+  /// (records whose key is not listed are dropped).  The keys split the
+  /// records into disjoint cells, so the whole histogram costs one eps.
+  /// It is partition(keys, key) followed by one noisy_count(eps) per
+  /// part, in one pass: the same values and the same canonical ledger
+  /// (one charge of stability * eps per upstream budget, stamped with
+  /// this node's id), because cell i draws from the seed part i's node
+  /// would have had (this node's next child id in `keys` order, release
+  /// ordinal 0).  No row is copied: the tally streams the node's chain,
+  /// or counts stored input rows in contiguous chunks under `policy`
+  /// (`key` is then called concurrently, once per row).  The trace shows
+  /// one span with keys.size() outputs instead of a partition span plus
+  /// one span per part, and a refusal is one event, not one per part.
+  /// An empty key list releases nothing and charges nothing.
+  template <typename K, typename KeyF>
+  [[nodiscard]] std::vector<double> noisy_counts(
+      const std::vector<K>& keys, KeyF key, double eps,
+      exec::ExecPolicy policy = {}) const {
+    detail::check_epsilon(eps);
+    const grouping::GroupTable<K> key_index =
+        detail::index_keys(keys, "noisy_counts");
+    if (keys.empty()) return {};
+    TraceScope scope("noisy_counts");
+    const auto start = std::chrono::steady_clock::now();
+    guard_checkpoint("noisy_counts", node_->id());
+    std::size_t input_rows = 0;
+    const std::vector<std::uint64_t> tally =
+        contain_analyst("noisy_counts", node_->id(), [&] {
+          const auto slot_of = [&](const T& x) {
+            return key_index.find(key(x));
+          };
+          if (const auto* rows = node_->rows_in_place()) {
+            input_rows = rows->size();
+            return exec::parallel_tally(policy, *rows, keys.size(), slot_of);
+          }
+          std::vector<std::uint64_t> counts(keys.size(), 0);
+          input_rows = node_->scan([&](const T& x) {
+            const std::uint32_t slot = slot_of(x);
+            if (slot != grouping::kNoSlot) ++counts[slot];
+          });
+          return counts;
+        });
+    std::vector<std::uint64_t> seeds(keys.size());
+    for (auto& seed : seeds) {
+      seed = plan::release_seed(stream_, node_->next_child_id(), 0);
+    }
+    commit_release(scope, charges_,
+                   {"noisy_counts", "laplace", eps, node_->id(), input_rows,
+                    keys.size()},
+                   start, trace_tag_);
+    const double scale = total_stability() / eps;
+    std::vector<double> out(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      NoiseSource cell(seeds[i]);
+      out[i] = static_cast<double>(tally[i]) + cell.laplace(scale);
+    }
+    return out;
+  }
 
   /// Noisy record count: true count + Laplace(stability / eps).
   [[nodiscard]] double noisy_count(double eps) const {

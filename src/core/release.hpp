@@ -1,12 +1,13 @@
 // The one release primitive: how every aggregation crosses the privacy
 // curtain.
 //
-// Queryable's aggregations and StreamingHistogram::release both commit
-// through commit_release(), so every release gets the same invariants
-// (docs/robustness.md): a guard checkpoint and the "core.release.charge"
-// failpoint *before* the charge, the charge under a ScopedChargeNode so
-// an AuditingBudget stamps its ledger entry (and the journal its event)
-// with the releasing node's id, then the metrics and the trace span.
+// Every Queryable aggregation, noisy_counts' whole histogram included,
+// commits through commit_release(), so every release gets the same
+// invariants (docs/robustness.md): a guard checkpoint and the
+// "core.release.charge" failpoint *before* the charge, the charge under a
+// ScopedChargeNode so an AuditingBudget stamps its ledger entry (and the
+// journal its event) with the releasing node's id, then the metrics and
+// the trace span.
 // Nothing after the charge can throw an abort, so an aborted release
 // charges nothing and a committed charge is never refunded.
 #pragma once

@@ -20,7 +20,6 @@
 #include "core/noise.hpp"
 #include "core/plan.hpp"
 #include "core/queryable.hpp"
-#include "core/streaming.hpp"
 #include "core/trace.hpp"
 
 // Toolkit (paper §4 and extensions).

@@ -64,14 +64,9 @@ CdfEstimate cdf_partition(const core::Queryable<std::int64_t>& data,
   require_boundaries(boundaries);
   std::vector<std::size_t> keys(boundaries.size());
   for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i;
-  auto parts = data.partition(
-      keys, [boundaries](std::int64_t v) { return bucket_of(v, boundaries); });
-
-  const std::vector<double> counts = core::exec::map_parts(
-      policy, keys, parts,
-      [eps_total](std::size_t, const core::Queryable<std::int64_t>& part) {
-        return part.noisy_count(eps_total);
-      });
+  const std::vector<double> counts = data.noisy_counts(
+      keys, [boundaries](std::int64_t v) { return bucket_of(v, boundaries); },
+      eps_total, policy);
 
   CdfEstimate out;
   out.boundaries.assign(boundaries.begin(), boundaries.end());

@@ -49,13 +49,14 @@ std::vector<FrequentString> frequent_strings(
 
     // Partition once by current prefix (cost shared via max-semantics)...
     auto by_prefix = fixed.partition(
-        prefixes, [pos](const std::string& s) { return s.substr(0, pos); });
+        prefixes, [pos](const std::string& s) { return s.substr(0, pos); },
+        options.exec);
 
-    // ...then each candidate's branch (a by-byte sub-partition plus 256
-    // counts) is independent of its siblings, so the per-prefix work can
-    // fan out across executor threads.  Each task only derives from its
-    // own part, which keeps plan-node ids — and therefore the noise —
-    // identical to the sequential schedule.
+    // ...then each candidate's branch (one 256-cell byte histogram) is
+    // independent of its siblings, so the per-prefix work can fan out
+    // across executor threads.  Each task only derives from its own part,
+    // which keeps plan-node ids — and therefore the noise — identical to
+    // the sequential schedule.
     const double eps_level = options.eps_per_level;
     const double threshold = options.threshold;
     auto survivors_by_prefix = core::exec::map_parts(
@@ -63,12 +64,15 @@ std::vector<FrequentString> frequent_strings(
         [&bytes, pos, eps_level, threshold](
             const std::string& prefix,
             const core::Queryable<std::string>& part) {
-          auto by_byte = part.partition(bytes, [pos](const std::string& s) {
-            return static_cast<int>(static_cast<unsigned char>(s[pos]));
-          });
+          const std::vector<double> counts = part.noisy_counts(
+              bytes,
+              [pos](const std::string& s) {
+                return static_cast<int>(static_cast<unsigned char>(s[pos]));
+              },
+              eps_level);
           std::vector<FrequentString> survivors;
           for (int b : bytes) {
-            const double count = by_byte.at(b).noisy_count(eps_level);
+            const double count = counts[static_cast<std::size_t>(b)];
             if (count > threshold) {
               survivors.push_back(FrequentString{
                   prefix + static_cast<char>(static_cast<unsigned char>(b)),

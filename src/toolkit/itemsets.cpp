@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/exec/executor.hpp"
 #include "core/hash.hpp"
 
 namespace dpnet::toolkit {
@@ -102,21 +101,16 @@ std::vector<FrequentItemset> frequent_itemsets(
     for (std::size_t i = 0; i < keys.size(); ++i) {
       keys[i] = static_cast<int>(i);
     }
-    const auto cands = candidates;  // captured by the key function
-    auto salt = std::make_shared<std::size_t>(0);
-    auto parts =
-        data.partition(keys, [cands, salt](const std::vector<int>& rec) {
-          return pick_supported(rec, cands, (*salt)++);
-        });
-
-    // Each candidate's count release touches only its own partition branch,
-    // so the per-level counting fans out under the executor policy.
-    const double eps_level = options.eps_per_level;
-    const std::vector<double> counts = core::exec::map_parts(
-        options.exec, keys, parts,
-        [eps_level](int, const core::Queryable<std::vector<int>>& part) {
-          return part.noisy_count(eps_level);
-        });
+    // One noisy count per candidate, as one histogram.  The salt advances
+    // once per record, so the key function must see the records once
+    // each, in order: the tally runs without an executor policy.
+    std::size_t salt = 0;
+    const std::vector<double> counts = data.noisy_counts(
+        keys,
+        [&candidates, &salt](const std::vector<int>& rec) {
+          return pick_supported(rec, candidates, salt++);
+        },
+        options.eps_per_level);
 
     std::vector<std::pair<std::vector<int>, double>> surviving;
     for (std::size_t c = 0; c < candidates.size(); ++c) {

@@ -3,14 +3,14 @@
 // Apriori-style level-wise search adapted for privacy: at each level the
 // records (item sets) are *partitioned* among the candidate itemsets — a
 // record backs a single (hash-chosen) candidate it contains — so one
-// Partition pays for all candidate counts.  The paper's
+// noisy_counts histogram (Partition's max-cost rule) pays for all
+// candidate counts.  The paper's
 // counter-intuitive insight applies: aggressively high thresholds focus
 // the records' support instead of spreading counts too thin.
 #pragma once
 
 #include <vector>
 
-#include "core/exec/policy.hpp"
 #include "core/queryable.hpp"
 
 namespace dpnet::toolkit {
@@ -25,7 +25,6 @@ struct ItemsetOptions {
   double eps_per_level = 0.0;  // privacy cost per apriori level (0 rejects)
   double threshold = 20.0;     // keep candidates with noisy count above this
   std::size_t max_candidates = 2048;
-  core::exec::ExecPolicy exec;  // per-candidate counts fan out when > 1
 };
 
 /// Mines itemsets of size 1..max_size from records that are themselves

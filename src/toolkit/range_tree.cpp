@@ -29,13 +29,8 @@ DpRangeTree::DpRangeTree(const core::Queryable<std::int64_t>& values,
     for (std::int64_t b = 0; b < buckets; ++b) {
       keys[static_cast<std::size_t>(b)] = b;
     }
-    auto parts = in_domain.partition(
-        keys, [width](std::int64_t v) { return v / width; });
-    auto& row = counts_[static_cast<std::size_t>(level)];
-    row.reserve(keys.size());
-    for (std::int64_t b = 0; b < buckets; ++b) {
-      row.push_back(parts.at(b).noisy_count(eps_level));
-    }
+    counts_[static_cast<std::size_t>(level)] = in_domain.noisy_counts(
+        keys, [width](std::int64_t v) { return v / width; }, eps_level);
   }
 }
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/exec/executor.hpp"
-
 namespace dpnet::toolkit {
 
 namespace {
@@ -69,14 +67,12 @@ SlidingCounts sliding_counts(const core::Queryable<double>& times,
   }
   const double t_start = spec.t_start;
   const double step = spec.step;
-  auto parts = times.partition(keys, [t_start, step](double t) {
-    return static_cast<std::int64_t>(std::floor((t - t_start) / step));
-  });
-  const std::vector<double> bucket_counts = core::exec::map_parts(
-      policy, keys, parts,
-      [eps](std::int64_t, const core::Queryable<double>& part) {
-        return part.noisy_count(eps);
-      });
+  const std::vector<double> bucket_counts = times.noisy_counts(
+      keys,
+      [t_start, step](double t) {
+        return static_cast<std::int64_t>(std::floor((t - t_start) / step));
+      },
+      eps, policy);
   return assemble(spec, grid, bucket_counts);
 }
 

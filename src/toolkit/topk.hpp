@@ -66,8 +66,9 @@ TopKResult top_k_peeling(const core::Queryable<T>& data,
   return result;
 }
 
-/// Noisy-count ranking via one Partition: releases every candidate's noisy
-/// count and returns the k largest.  Total privacy cost: eps.
+/// Noisy-count ranking via one noisy_counts histogram: releases every
+/// candidate's noisy count and returns the k largest.  Total privacy
+/// cost: eps.
 template <typename T, typename IndexF>
 TopKResult top_k_noisy_counts(const core::Queryable<T>& data,
                               std::size_t universe_size, IndexF index_of,
@@ -79,11 +80,11 @@ TopKResult top_k_noisy_counts(const core::Queryable<T>& data,
   for (std::size_t i = 0; i < universe_size; ++i) {
     keys[i] = static_cast<int>(i);
   }
-  auto parts = data.partition(keys, index_of);
+  const std::vector<double> counts = data.noisy_counts(keys, index_of, eps);
   std::vector<std::pair<double, std::size_t>> ranked;
   ranked.reserve(universe_size);
   for (std::size_t i = 0; i < universe_size; ++i) {
-    ranked.emplace_back(parts.at(static_cast<int>(i)).noisy_count(eps), i);
+    ranked.emplace_back(counts[i], i);
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });

@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "core/exec/executor.hpp"
-#include "core/exec/stream_feed.hpp"
 #include "core/queryable.hpp"
-#include "core/streaming.hpp"
 
 namespace dpnet::core {
 namespace {
@@ -163,6 +161,8 @@ TEST(ParallelGroupBy, RewiredOperatorsByteIdenticalUnderExecutorFanOut) {
   }
 }
 
+// noisy_counts' chunked tally over stored rows (it absorbed the old
+// parallel histogram feed): same counts, same noise, at any thread count.
 TEST(ParallelStreamFeed, ReleaseByteIdenticalAcrossThreadCounts) {
   const auto rows = flow_like_rows(50'000, 99);
   std::vector<int> cells;
@@ -171,20 +171,18 @@ TEST(ParallelStreamFeed, ReleaseByteIdenticalAcrossThreadCounts) {
     return r.first % 48;  // cells 40..47 fall outside the universe
   };
   auto run = [&](std::size_t threads) {
-    StreamingHistogram<int> hist(cells, std::make_shared<RootBudget>(1e6),
-                                 std::make_shared<NoiseSource>(7));
-    exec::parallel_feed_histogram(exec::ExecPolicy{threads}, hist, rows,
-                                  cell_of);
-    EXPECT_EQ(hist.records_seen(), rows.size());
-    return hist.release(0.5);
+    const Queryable<std::pair<int, int>> q(
+        rows, std::make_shared<RootBudget>(1e6),
+        std::make_shared<NoiseSource>(7));
+    return q.noisy_counts(cells, cell_of, 0.5, exec::ExecPolicy{threads});
   };
   const auto sequential = run(1);
   for (const std::size_t threads : kThreadCounts) {
     const auto parallel = run(threads);
     ASSERT_EQ(parallel.size(), sequential.size());
-    for (const auto& [cell, value] : sequential) {
-      // Bitwise: identical counts and identical per-release noise fork.
-      EXPECT_EQ(parallel.at(cell), value) << "cell " << cell;
+    for (std::size_t c = 0; c < sequential.size(); ++c) {
+      // Bitwise: identical counts and identical per-cell noise forks.
+      EXPECT_EQ(parallel[c], sequential[c]) << "cell " << c;
     }
   }
 }

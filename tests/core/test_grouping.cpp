@@ -18,7 +18,6 @@
 
 #include "core/grouping/builder.hpp"
 #include "core/queryable.hpp"
-#include "core/streaming.hpp"
 #include "toolkit/frequent_strings.hpp"
 #include "toolkit/itemsets.hpp"
 
@@ -343,23 +342,30 @@ TEST(GroupingAgreement, StreamingHistogramMatchesUnorderedMapReference) {
   const auto data = clustered_values(20'000, 48, 110);
   std::vector<int> cells;
   for (int c = 0; c < 32; ++c) cells.push_back(c);  // cells 32..47 dropped
-  StreamingHistogram<int> hist(cells, std::make_shared<RootBudget>(1e9),
-                               std::make_shared<NoiseSource>(9));
+  std::size_t records_seen = 0;
+  const auto streamed = Queryable<int>::streamed(
+      [&data, &records_seen](plan::SourceSink<int>& sink) {
+        for (int x : data) {
+          ++records_seen;
+          sink(x);
+        }
+      },
+      std::make_shared<RootBudget>(1e9), std::make_shared<NoiseSource>(9));
   std::unordered_map<int, double> expected;
   for (int c : cells) expected.emplace(c, 0.0);
   for (int x : data) {
-    hist.feed(x);
     auto it = expected.find(x);
     if (it != expected.end()) it->second += 1.0;
   }
-  EXPECT_EQ(hist.records_seen(), data.size());
-  EXPECT_EQ(hist.cells(), cells);
   // At huge epsilon the Laplace draws vanish: released counts are the
   // exact reference counts.
-  const auto released = hist.release(1e9);
+  const auto released =
+      streamed.noisy_counts(cells, [](int x) { return x; }, 1e9);
+  EXPECT_EQ(records_seen, data.size());
   ASSERT_EQ(released.size(), expected.size());
-  for (int c : cells) {
-    EXPECT_NEAR(released.at(c), expected.at(c), 1e-3) << "cell " << c;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_NEAR(released[i], expected.at(cells[i]), 1e-3)
+        << "cell " << cells[i];
   }
 }
 

@@ -12,7 +12,6 @@
 
 #include "core/json.hpp"
 #include "core/queryable.hpp"
-#include "core/streaming.hpp"
 
 namespace dpnet::core {
 namespace {
@@ -140,7 +139,7 @@ TEST(Metrics, EngineMaintainsBuiltins) {
   EXPECT_EQ(builtin_metrics::queries_executed().value(), queries_before + 1);
 }
 
-// Eight threads, each driving its own streaming histogram to release
+// Eight threads, each releasing a histogram over its own streamed source
 // repeatedly, all updating the shared global metrics concurrently.  The
 // counters must come out exact (no lost updates).
 TEST(Metrics, ThreadSafeUnderConcurrentStreaming) {
@@ -153,14 +152,17 @@ TEST(Metrics, ThreadSafeUnderConcurrentStreaming) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([t] {
-      StreamingHistogram<int> hist(
-          {0, 1, 2}, std::make_shared<RootBudget>(1e6),
+      const auto hist = Queryable<int>::streamed(
+          [](plan::SourceSink<int>& sink) {
+            for (int i = 0; i < 90; ++i) sink(i % 3);
+          },
+          std::make_shared<RootBudget>(1e6),
           std::make_shared<NoiseSource>(static_cast<std::uint64_t>(t) + 1));
-      for (int i = 0; i < 90; ++i) hist.feed(i % 3);
       for (int r = 0; r < kReleases; ++r) {
         // eps = 0.25 is a binary fraction, so the concurrent gauge adds
         // must reassemble to an exact total in any interleaving.
-        std::ignore = hist.release(0.25);
+        std::ignore = hist.noisy_counts(std::vector<int>{0, 1, 2},
+                                        [](int x) { return x; }, 0.25);
       }
     });
   }

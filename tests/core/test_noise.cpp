@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace dpnet::core {
@@ -135,6 +137,68 @@ TEST(NoiseSource, NextIndexStaysInRangeAndRejectsZero) {
     EXPECT_LT(noise.next_index(17), 17u);
   }
   EXPECT_THROW(noise.next_index(0), std::invalid_argument);
+}
+
+// The stream is std::mt19937_64's, bit for bit, although the first 156
+// outputs are computed from the seed without building the engine.
+
+/// Seeds spread over the whole 64-bit range (plus the small ones).
+std::uint64_t test_seed(std::uint64_t i) {
+  return i < 64 ? i : i * 0x9E3779B97F4A7C15ULL;
+}
+
+TEST(NoiseSource, FirstDrawsAreBitIdenticalToMt19937_64) {
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    const std::uint64_t seed = test_seed(i);
+    NoiseSource noise(seed);
+    std::mt19937_64 reference(seed);
+    for (int d = 0; d < 8; ++d) {
+      ASSERT_EQ(noise.stream_base(), reference())
+          << "seed " << seed << " draw " << d;
+    }
+  }
+}
+
+TEST(NoiseSource, LongStreamsContinueTheEngineExactly) {
+  // Past the 156 direct draws the engine takes over mid-stream.
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    NoiseSource noise(test_seed(i * 977));
+    std::mt19937_64 reference(test_seed(i * 977));
+    for (int d = 0; d < 700; ++d) {
+      ASSERT_EQ(noise.stream_base(), reference()) << "draw " << d;
+    }
+  }
+}
+
+TEST(NoiseSource, MixedStreamsMatchTheEngine) {
+  // Raw draws interleaved with engine(), gaussian() and next_index(),
+  // switching after every possible number of direct draws.
+  for (std::uint64_t i = 0; i < 2'000; ++i) {
+    const std::uint64_t seed = test_seed(i);
+    NoiseSource noise(seed);
+    std::mt19937_64 reference(seed);
+    const std::uint64_t direct = i % 10;
+    for (std::uint64_t d = 0; d < direct; ++d) {
+      ASSERT_EQ(noise.stream_base(), reference());
+    }
+    switch (i % 3) {
+      case 0:
+        ASSERT_EQ(noise.engine()(), reference());
+        break;
+      case 1: {
+        std::normal_distribution<double> dist(3.0, 2.0);
+        ASSERT_EQ(noise.gaussian(3.0, 2.0), dist(reference));
+        break;
+      }
+      default: {
+        std::uniform_int_distribution<std::uint64_t> dist(0, 996);
+        ASSERT_EQ(noise.next_index(997), dist(reference));
+        break;
+      }
+    }
+    for (int d = 0; d < 4; ++d) ASSERT_EQ(noise.stream_base(), reference());
+    ASSERT_EQ(noise.uniform(), (reference() >> 11) * 0x1.0p-53);
+  }
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/failpoint.hpp"
+#include "core/queryable.hpp"
 
 namespace dpnet::net {
 namespace {
@@ -389,6 +391,50 @@ TEST(TraceIo, StrictReadSeeksAConstantNumberOfTimes) {
   };
   const int few = seeks_reading(10);
   EXPECT_EQ(seeks_reading(1000), few);  // not one per record
+}
+
+// A DPNT file as a streamed source: every demand re-reads the file
+// through a TraceReader and no packet is stored, yet the histogram it
+// releases is byte-identical to the one over the trace read into memory
+// (same noise seed, so the same node ids and cell noise).
+TEST(TraceIo, StreamedReaderReleasesTheInMemoryHistogram) {
+  std::vector<Packet> trace;
+  for (int i = 0; i < 3000; ++i) trace.push_back(sample_packet(i % 200));
+  std::stringstream file;
+  write_trace(file, trace);
+  const std::string bytes = file.str();
+
+  std::size_t reads = 0;
+  const auto streamed = core::Queryable<Packet>::streamed(
+      [&bytes, &reads](core::plan::SourceSink<Packet>& sink) {
+        ++reads;
+        std::istringstream in(bytes);
+        TraceReader reader(in);
+        Packet p;
+        while (reader.next(p)) sink(p);
+      },
+      std::make_shared<core::RootBudget>(1.0),
+      std::make_shared<core::NoiseSource>(41));
+  const core::Queryable<Packet> stored(
+      trace, std::make_shared<core::RootBudget>(1.0),
+      std::make_shared<core::NoiseSource>(41));
+
+  const std::vector<int> lengths = {40, 41, 100, 239, 500};
+  const auto length_of = [](const Packet& p) {
+    return static_cast<int>(p.length);
+  };
+  const auto from_file =
+      streamed.where([](const Packet& p) { return p.flags.syn; })
+          .noisy_counts(lengths, length_of, 0.5);
+  const auto from_memory =
+      stored.where([](const Packet& p) { return p.flags.syn; })
+          .noisy_counts(lengths, length_of, 0.5);
+  EXPECT_EQ(from_file, from_memory);
+  EXPECT_EQ(reads, 1u);
+  EXPECT_FALSE(streamed.plan_node().holds_rows());
+  // A second demand reads the file again.
+  std::ignore = streamed.noisy_counts(lengths, length_of, 0.25);
+  EXPECT_EQ(reads, 2u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <tuple>
 
 #include "core/queryable.hpp"
 
@@ -170,7 +171,7 @@ TEST_P(QueryableLaws, AggregationChargesStabilityTimesEps) {
     }
   }
   const double before = env.budget->spent();
-  current.noisy_count(0.01);
+  std::ignore = current.noisy_count(0.01);
   EXPECT_NEAR(env.budget->spent() - before, expected_stability * 0.01,
               1e-12);
 }

@@ -254,10 +254,10 @@ bool run_analysis_query(core::Queryable<Packet>& packets,
     for (std::size_t i = 0; i < keys.size(); ++i) {
       keys[i] = static_cast<int>(i);
     }
-    auto parts = packets.partition(keys, [&clf](const Packet& p) {
-      return clf.classify_index(p);
-    });
     const core::exec::ExecPolicy policy(threads);
+    auto parts = packets.partition(
+        keys, [&clf](const Packet& p) { return clf.classify_index(p); },
+        policy);
     const std::vector<double> counts = core::exec::map_parts(
         policy, keys, parts, [eps](int, const core::Queryable<Packet>& part) {
           return part.noisy_count(eps);

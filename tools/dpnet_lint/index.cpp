@@ -133,7 +133,6 @@ FileClass classify(std::string_view path) {
                 path == "src/core/metrics.hpp" ||
                 path == "src/core/metrics.cpp" ||
                 path == "src/core/audit.hpp" ||
-                path == "src/core/streaming.hpp" ||
                 path.starts_with("src/core/obs/") ||
                 path.starts_with("src/serve/") ||
                 path == "bench/common.hpp" || path == "tools/dpnet_cli.cpp";
