@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/exec/executor.hpp"
-
 namespace dpnet::analysis {
 
 using net::LinkPacket;
@@ -27,24 +25,17 @@ linalg::Matrix dp_link_time_matrix(
     window_keys[static_cast<std::size_t>(w)] = w;
   }
 
-  linalg::Matrix counts(static_cast<std::size_t>(options.links),
-                        static_cast<std::size_t>(options.windows));
-  auto rows = records.partition(
-      link_keys, [](const LinkPacket& r) { return r.link; }, options.exec);
-  // Each link's row (one window histogram) derives only from that link's
-  // part, so rows are independent branches and fan out under the
-  // executor policy.
-  const double eps = options.eps;
-  const std::vector<std::vector<double>> row_counts = core::exec::map_parts(
-      options.exec, link_keys, rows,
-      [&window_keys, eps](int, const core::Queryable<LinkPacket>& row) {
-        return row.noisy_counts(
-            window_keys, [](const LinkPacket& r) { return r.window; }, eps);
-      });
-  for (int l = 0; l < options.links; ++l) {
-    for (int w = 0; w < options.windows; ++w) {
-      counts(static_cast<std::size_t>(l), static_cast<std::size_t>(w)) =
-          row_counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(w)];
+  // One histogram grid: link rows by window columns, one pass over the
+  // records and one eps for the whole matrix (each link part releases one
+  // window histogram, so partition's max-cost rule charges eps once).
+  const std::vector<std::vector<double>> cells = records.noisy_counts(
+      link_keys, [](const LinkPacket& r) { return r.link; }, window_keys,
+      [](const LinkPacket& r) { return r.window; }, options.eps,
+      options.exec);
+  linalg::Matrix counts(link_keys.size(), window_keys.size());
+  for (std::size_t l = 0; l < link_keys.size(); ++l) {
+    for (std::size_t w = 0; w < window_keys.size(); ++w) {
+      counts(l, w) = cells[l][w];
     }
   }
   return counts;

@@ -1,6 +1,6 @@
 // §5.3.1: network-wide traffic anomaly detection (Lakhina et al.) under
-// differential privacy.  The link x time load matrix is measured with
-// nested Partitions (total cost: one epsilon), then PCA finds the normal
+// differential privacy.  The link x time load matrix is measured as one
+// histogram grid (total cost: one epsilon), then PCA finds the normal
 // subspace and the residual norm flags anomalies (Fig 4).
 #pragma once
 
@@ -22,12 +22,13 @@ struct AnomalyOptions {
   double eps = 0.0;
   std::size_t components = 4;  // "normal traffic" subspace dimension
   double bytes_per_packet = 1500.0;  // de-aggregation unit
-  core::exec::ExecPolicy exec;  // per-link rows fan out when > 1
+  core::exec::ExecPolicy exec;  // the grid's tally and draws run in chunks
 };
 
-/// Privately measures the link x time packet-count matrix: Partition by
-/// link, then each row by window, one noisy count per cell.  The nested
-/// max-cost rule makes the entire matrix cost options.eps.
+/// Privately measures the link x time packet-count matrix: one noisy
+/// count per (link, window) cell, released as one noisy_counts grid —
+/// the same release as partitioning by link and counting each row by
+/// window, whose nested max-cost rule makes the matrix cost options.eps.
 linalg::Matrix dp_link_time_matrix(
     const core::Queryable<net::LinkPacket>& records,
     const AnomalyOptions& options);

@@ -176,6 +176,19 @@ template <typename V, typename SlotF>
   return std::move(tallies[0]);
 }
 
+/// Calls f(i) for every i in [0, n), in contiguous chunks of at least
+/// `min_chunk` items: one executor task per chunk, inline when that is
+/// one chunk.  `f` runs concurrently across workers.
+template <typename F>
+void parallel_for(ExecPolicy policy, std::size_t n, std::size_t min_chunk,
+                  const F& f) {
+  policy.threads = std::min(policy.threads, (n + min_chunk - 1) / min_chunk);
+  group_detail::run_chunks(
+      policy, n, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) f(i);
+      });
+}
+
 /// Splits `rows` into `buckets` exactly-sized vectors, bucket b holding
 /// the rows whose slot_of(row) is b in row order (rows whose slot is
 /// grouping::kNoSlot are dropped): the same buckets at any thread count.

@@ -10,21 +10,31 @@ namespace dpnet::core::exec {
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t n = std::max<std::size_t>(1, threads);
   workers_.reserve(n);
-  // Spawn loop is bounded by the thread count, not by row count; there is
-  // no query guard installed yet at pool construction time.
-  // dpnet-lint: suppress(R11)
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] {
-      // Stamp the worker lane once for the thread's lifetime: every span
-      // recorded on this worker carries the index, which is what renders
-      // parallel fan-outs as per-worker lanes in the Chrome trace export.
-      set_trace_worker(static_cast<int>(i));
-      worker_loop();
-    });
+  try {
+    // Spawn loop is bounded by the thread count, not by row count; there
+    // is no query guard installed yet at pool construction time.
+    // dpnet-lint: suppress(R11)
+    for (std::size_t i = 0; i < n; ++i) {
+      workers_.emplace_back([this, i] {
+        // Stamp the worker lane once for the thread's lifetime: every
+        // span recorded on this worker carries the index, which is what
+        // renders parallel fan-outs as per-worker lanes in the Chrome
+        // trace export.
+        set_trace_worker(static_cast<int>(i));
+        worker_loop();
+      });
+    }
+  } catch (...) {
+    // A thread that cannot start: join the ones that did, so the caller
+    // gets the error rather than std::terminate from a joinable thread.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;

@@ -41,6 +41,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Tells the workers to exit once the queue is drained, and joins them.
+  void stop_and_join();
 
   std::mutex mutex_;
   std::condition_variable cv_;

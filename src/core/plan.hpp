@@ -67,6 +67,12 @@ inline constexpr NodeId kReleaseSalt = 0x72656c65617365ULL;    // "release"
   return mix64(mix64(mix64(kReleaseSalt, stream), id), ordinal);
 }
 
+/// Id of child number `ordinal` of node `parent`: the node a parent's
+/// `ordinal`-th derivation gets (NodeBase::next_child_id()).
+[[nodiscard]] inline NodeId child_id(NodeId parent, std::uint64_t ordinal) {
+  return mix64(parent, ordinal);
+}
+
 /// Type-erased plan node: identity, operator metadata, and DAG edges.
 /// The typed rows live in the Node<T> subclass.
 class NodeBase {
@@ -115,7 +121,8 @@ class NodeBase {
   /// analyst code — including per-partition executor tasks, each of which
   /// owns its branch — guarantees by construction).
   [[nodiscard]] NodeId next_child_id() const {
-    return mix64(id_, child_ordinal_.fetch_add(1, std::memory_order_relaxed));
+    return child_id(id_,
+                    child_ordinal_.fetch_add(1, std::memory_order_relaxed));
   }
 
   /// Seed for the NoiseSource fork backing this node's next release
@@ -403,8 +410,9 @@ class Node final : public NodeBase {
   /// Stores the node's rows (mutex held).  A first evaluation runs under
   /// the full bookkeeping; a narrow node's second demand only re-runs
   /// its chain, since its span, guard charge, failpoint and wall-time
-  /// observation already happened.  Dropping the body afterwards
-  /// releases the captured parents.
+  /// observation already happened, into a buffer reserved at the fused
+  /// pass's output count.  Dropping the body afterwards releases the
+  /// captured parents.
   void store_locked() {
     auto rows = std::make_shared<Rows>();
     const auto fill = [this, &rows] {
@@ -413,6 +421,7 @@ class Node final : public NodeBase {
         if (compute_) {
           *rows = compute_(in_rows);
         } else {
+          if (materialized()) rows->reserve(out_rows_);
           auto keep = [&rows](const T& row) { rows->push_back(row); };
           in_rows = stream_(id(), RowSink<T>(keep));
         }

@@ -88,20 +88,63 @@ std::string key_to_tag(const K& k, std::size_t index) {
   }
 }
 
-/// Dense index of an analyst's key list: slot i is keys[i].  Throws
-/// InvalidQueryError("<op> keys must be distinct") on a repeated key.
+/// Dense index of an analyst's key list: find(k) is i when k is keys[i]
+/// and grouping::kNoSlot when k is not listed.  A list of consecutive
+/// ascending integers (a bucket, link or window range, a byte alphabet)
+/// resolves by subtraction; every other list goes through a GroupTable.
 template <typename K>
-grouping::GroupTable<K> index_keys(const std::vector<K>& keys,
-                                   const char* op) {
-  grouping::GroupTable<K> index;
-  index.reserve(keys.size());
-  for (const auto& k : keys) {
-    if (!index.acquire(k).second) {
-      throw InvalidQueryError(std::string(op) + " keys must be distinct");
+class KeyIndex {
+ public:
+  /// Throws InvalidQueryError("<op> keys must be distinct") on a
+  /// repeated key.
+  KeyIndex(const std::vector<K>& keys, const char* op) {
+    if constexpr (std::is_integral_v<K>) {
+      if (!keys.empty() && consecutive(keys)) {
+        run_ = keys.size();
+        base_ = keys.front();
+        return;
+      }
+    }
+    table_.reserve(keys.size());
+    for (const auto& k : keys) {
+      if (!table_.acquire(k).second) {
+        throw InvalidQueryError(std::string(op) + " keys must be distinct");
+      }
     }
   }
-  return index;
-}
+
+  [[nodiscard]] std::uint32_t find(const K& k) const {
+    if constexpr (std::is_integral_v<K>) {
+      if (run_ != 0) {
+        // k - base in 64-bit unsigned arithmetic: a key below the base
+        // wraps far above the run, and nothing can overflow.
+        const std::uint64_t offset = static_cast<std::uint64_t>(k) -
+                                     static_cast<std::uint64_t>(base_);
+        return offset < run_ ? static_cast<std::uint32_t>(offset)
+                             : grouping::kNoSlot;
+      }
+    }
+    return table_.find(k);
+  }
+
+ private:
+  /// True when keys[i] is keys[0] + i for every i.
+  static bool consecutive(const std::vector<K>& keys) {
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+      if (!(keys[i - 1] < keys[i]) ||
+          static_cast<std::uint64_t>(keys[i]) -
+                  static_cast<std::uint64_t>(keys[i - 1]) !=
+              1) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  grouping::GroupTable<K> table_;
+  std::uint64_t run_ = 0;  // key count when the keys are one run, else 0
+  K base_{};
+};
 
 }  // namespace detail
 
@@ -442,8 +485,7 @@ class Queryable {
   [[nodiscard]] std::unordered_map<K, Queryable<T>> partition(
       const std::vector<K>& keys, KeyF key,
       exec::ExecPolicy policy = {}) const {
-    const grouping::GroupTable<K> key_index =
-        detail::index_keys(keys, "partition");
+    const detail::KeyIndex key_index(keys, "partition");
     // Partition is eager, so its span is recorded at call time; each
     // part's later aggregations carry a "partition[key]" annotation so the
     // trace shows the per-branch charges behind the max-cost rule.
@@ -520,7 +562,8 @@ class Queryable {
   /// would have had (this node's next child id in `keys` order, release
   /// ordinal 0).  No row is copied: the tally streams the node's chain,
   /// or counts stored input rows in contiguous chunks under `policy`
-  /// (`key` is then called concurrently, once per row).  The trace shows
+  /// (`key` is then called concurrently, once per row), and the cells
+  /// are drawn in chunks under `policy` too.  The trace shows
   /// one span with keys.size() outputs instead of a partition span plus
   /// one span per part, and a refusal is one event, not one per part.
   /// An empty key list releases nothing and charges nothing.
@@ -529,44 +572,65 @@ class Queryable {
       const std::vector<K>& keys, KeyF key, double eps,
       exec::ExecPolicy policy = {}) const {
     detail::check_epsilon(eps);
-    const grouping::GroupTable<K> key_index =
-        detail::index_keys(keys, "noisy_counts");
-    if (keys.empty()) return {};
-    TraceScope scope("noisy_counts");
-    const auto start = std::chrono::steady_clock::now();
-    guard_checkpoint("noisy_counts", node_->id());
-    std::size_t input_rows = 0;
-    const std::vector<std::uint64_t> tally =
-        contain_analyst("noisy_counts", node_->id(), [&] {
-          const auto slot_of = [&](const T& x) {
-            return key_index.find(key(x));
-          };
-          if (const auto* rows = node_->rows_in_place()) {
-            input_rows = rows->size();
-            return exec::parallel_tally(policy, *rows, keys.size(), slot_of);
-          }
-          std::vector<std::uint64_t> counts(keys.size(), 0);
-          input_rows = node_->scan([&](const T& x) {
-            const std::uint32_t slot = slot_of(x);
-            if (slot != grouping::kNoSlot) ++counts[slot];
-          });
-          return counts;
-        });
-    std::vector<std::uint64_t> seeds(keys.size());
-    for (auto& seed : seeds) {
-      seed = plan::release_seed(stream_, node_->next_child_id(), 0);
-    }
-    commit_release(scope, charges_,
-                   {"noisy_counts", "laplace", eps, node_->id(), input_rows,
-                    keys.size()},
-                   start, trace_tag_);
-    const double scale = total_stability() / eps;
+    const detail::KeyIndex index(keys, "noisy_counts");
     std::vector<double> out(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      NoiseSource cell(seeds[i]);
-      out[i] = static_cast<double>(tally[i]) + cell.laplace(scale);
-    }
+    release_cells(
+        keys.size(), keys.size(),
+        [&](const T& x) { return index.find(key(x)); },
+        [](const std::vector<plan::NodeId>& ids, std::size_t c) {
+          return ids[c];
+        },
+        [&out](std::size_t c, double value) { out[c] = value; }, eps,
+        policy);
     return out;
+  }
+
+  /// The grid form: row o is the histogram over `inner_keys` of the
+  /// records whose `outer_key` is outer_keys[o], each cell plus
+  /// Laplace(stability / eps) noise.  It is partition(outer_keys,
+  /// outer_key) followed by noisy_counts(inner_keys, inner_key, eps) on
+  /// every part, in one pass: cell (o, i) draws from the seed child i of
+  /// part o's node would have had, so the values, the canonical ledger
+  /// (one charge per upstream budget for the whole grid: the parts
+  /// release one histogram each, and partition charges their maximum)
+  /// and this node's later child ids are unchanged.  `inner_key` runs
+  /// only on records whose outer key is listed.  The tally and the draws
+  /// run in chunks under `policy`.  One span with K1 * K2 outputs
+  /// replaces a partition span plus one span per part, and a refusal is
+  /// journaled once.  An empty list releases nothing and charges nothing,
+  /// but still takes the K1 part ids.
+  template <typename K1, typename OuterF, typename K2, typename InnerF>
+  [[nodiscard]] std::vector<std::vector<double>> noisy_counts(
+      const std::vector<K1>& outer_keys, OuterF outer_key,
+      const std::vector<K2>& inner_keys, InnerF inner_key, double eps,
+      exec::ExecPolicy policy = {}) const {
+    detail::check_epsilon(eps);
+    const detail::KeyIndex outer(outer_keys, "noisy_counts");
+    const detail::KeyIndex inner(inner_keys, "noisy_counts");
+    const std::size_t width = inner_keys.size();
+    if (width != 0 && outer_keys.size() >= grouping::kNoSlot / width) {
+      throw InvalidQueryError("noisy_counts grid has too many cells");
+    }
+    std::vector<std::vector<double>> rows(outer_keys.size(),
+                                          std::vector<double>(width));
+    release_cells(
+        outer_keys.size() * width, outer_keys.size(),
+        [&](const T& x) {
+          const std::uint32_t o = outer.find(outer_key(x));
+          if (o == grouping::kNoSlot) return o;
+          const std::uint32_t i = inner.find(inner_key(x));
+          return i == grouping::kNoSlot
+                     ? i
+                     : static_cast<std::uint32_t>(o * width + i);
+        },
+        [width](const std::vector<plan::NodeId>& parts, std::size_t c) {
+          return plan::child_id(parts[c / width], c % width);
+        },
+        [&rows, width](std::size_t c, double value) {
+          rows[c / width][c % width] = value;
+        },
+        eps, policy);
+    return rows;
   }
 
   /// Noisy record count: true count + Laplace(stability / eps).
@@ -735,6 +799,68 @@ class Queryable {
         noise_(std::move(noise)),
         stream_(stream),
         trace_tag_(std::move(trace_tag)) {}
+
+  /// The histogram release behind both noisy_counts forms.  Tallies the
+  /// node's rows into `cells` cells (slot_of(row) is a row's cell, or
+  /// grouping::kNoSlot to drop it); then takes `children` child ids of
+  /// this node, after the tally as partition takes its parts' ids after
+  /// bucketing; then commits one release; then draws cell c from release
+  /// ordinal 0 of node cell_node(ids, c) and hands it to put(c, value).
+  /// The caller sizes what `put` writes before the call: after the
+  /// charge only the chunked draws allocate, and they fall back to
+  /// drawing inline.  With no cells it only takes the ids.
+  template <typename SlotF, typename CellNodeF, typename PutF>
+  void release_cells(std::size_t cells, std::size_t children,
+                     const SlotF& slot_of, const CellNodeF& cell_node,
+                     const PutF& put, double eps,
+                     const exec::ExecPolicy& policy) const {
+    std::vector<plan::NodeId> ids(children);
+    if (cells == 0) {
+      for (auto& id : ids) id = node_->next_child_id();
+      return;
+    }
+    TraceScope scope("noisy_counts");
+    const auto start = std::chrono::steady_clock::now();
+    guard_checkpoint("noisy_counts", node_->id());
+    std::size_t input_rows = 0;
+    const std::vector<std::uint64_t> tally =
+        contain_analyst("noisy_counts", node_->id(), [&] {
+          if (const auto* rows = node_->rows_in_place()) {
+            input_rows = rows->size();
+            return exec::parallel_tally(policy, *rows, cells, slot_of);
+          }
+          std::vector<std::uint64_t> counts(cells, 0);
+          input_rows = node_->scan([&](const T& x) {
+            const std::uint32_t slot = slot_of(x);
+            if (slot != grouping::kNoSlot) ++counts[slot];
+          });
+          return counts;
+        });
+    for (auto& id : ids) id = node_->next_child_id();
+    const double scale = total_stability() / eps;
+    commit_release(scope, charges_,
+                   {"noisy_counts", "laplace", eps, node_->id(), input_rows,
+                    cells},
+                   start, trace_tag_);
+    // Every cell seeds its own generator, so the draws run in chunks
+    // too.  They follow the charge, where nothing may fail: their tasks
+    // answer to a guard of their own that never trips, and when the
+    // executor throws (a thread that cannot start, a failpoint) the
+    // cells are drawn again inline, to the same values, since each
+    // depends only on its seed.
+    constexpr std::size_t kDrawsPerTask = 4096;
+    const auto draw = [&](std::size_t c) {
+      NoiseSource cell(plan::release_seed(stream_, cell_node(ids, c), 0));
+      put(c, static_cast<double>(tally[c]) + cell.laplace(scale));
+    };
+    try {
+      exec::parallel_for(
+          exec::ExecPolicy(policy.threads, std::make_shared<QueryGuard>()),
+          cells, kDrawsPerTask, draw);
+    } catch (...) {
+      for (std::size_t c = 0; c < cells; ++c) draw(c);
+    }
+  }
 
   /// Builds a narrow plan node over this one; `stream` pushes its output
   /// rows into a sink (plan.hpp).

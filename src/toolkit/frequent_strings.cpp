@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "core/exec/executor.hpp"
 #include "core/grouping/table.hpp"
 
 namespace dpnet::toolkit {
@@ -47,45 +46,28 @@ std::vector<FrequentString> frequent_strings(
     prefixes.reserve(frontier.size());
     for (const auto& f : frontier) prefixes.push_back(f.value);
 
-    // Partition once by current prefix (cost shared via max-semantics)...
-    auto by_prefix = fixed.partition(
+    // One histogram grid per level: a row of 256 byte counts per
+    // surviving prefix, released in one pass at one eps_per_level (each
+    // prefix's part releases one histogram, so the partition's max-cost
+    // rule charges the level once).
+    const std::vector<std::vector<double>> counts = fixed.noisy_counts(
         prefixes, [pos](const std::string& s) { return s.substr(0, pos); },
-        options.exec);
-
-    // ...then each candidate's branch (one 256-cell byte histogram) is
-    // independent of its siblings, so the per-prefix work can fan out
-    // across executor threads.  Each task only derives from its own part,
-    // which keeps plan-node ids — and therefore the noise — identical to
-    // the sequential schedule.
-    const double eps_level = options.eps_per_level;
-    const double threshold = options.threshold;
-    auto survivors_by_prefix = core::exec::map_parts(
-        options.exec, prefixes, by_prefix,
-        [&bytes, pos, eps_level, threshold](
-            const std::string& prefix,
-            const core::Queryable<std::string>& part) {
-          const std::vector<double> counts = part.noisy_counts(
-              bytes,
-              [pos](const std::string& s) {
-                return static_cast<int>(static_cast<unsigned char>(s[pos]));
-              },
-              eps_level);
-          std::vector<FrequentString> survivors;
-          for (int b : bytes) {
-            const double count = counts[static_cast<std::size_t>(b)];
-            if (count > threshold) {
-              survivors.push_back(FrequentString{
-                  prefix + static_cast<char>(static_cast<unsigned char>(b)),
-                  count});
-            }
-          }
-          return survivors;
-        });
+        bytes,
+        [pos](const std::string& s) {
+          return static_cast<int>(static_cast<unsigned char>(s[pos]));
+        },
+        options.eps_per_level, options.exec);
 
     std::vector<FrequentString> next;
-    for (auto& survivors : survivors_by_prefix) {
-      next.insert(next.end(), std::make_move_iterator(survivors.begin()),
-                  std::make_move_iterator(survivors.end()));
+    for (std::size_t p = 0; p < prefixes.size(); ++p) {
+      for (int b : bytes) {
+        const double count = counts[p][static_cast<std::size_t>(b)];
+        if (count > options.threshold) {
+          next.push_back(FrequentString{
+              prefixes[p] + static_cast<char>(static_cast<unsigned char>(b)),
+              count});
+        }
+      }
     }
     if (next.size() > options.max_candidates) {
       std::partial_sort(next.begin(),

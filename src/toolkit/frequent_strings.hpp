@@ -1,11 +1,12 @@
 // Differentially-private frequent-(sub)string discovery (§4.2).
 //
 // Reveals strings that occur many times in the protected data by growing
-// byte prefixes: partition records by the next byte of each surviving
-// prefix, keep extensions whose noisy count clears the threshold, repeat.
-// The privacy cost is eps_per_level per byte position (the partitions make
-// each level's cost independent of the number of candidates), so a search
-// to length B costs B * eps_per_level in total.
+// byte prefixes: count records by (surviving prefix, next byte) in one
+// noisy histogram grid, keep extensions whose noisy count clears the
+// threshold, repeat.  The privacy cost is eps_per_level per byte position
+// (the grid's prefix rows are disjoint partition parts, so each level's
+// cost is independent of the number of candidates), so a search to
+// length B costs B * eps_per_level in total.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,7 @@ struct FrequentStringOptions {
   double eps_per_level = 0.0;    // privacy cost per byte (0 rejects)
   double threshold = 50.0;       // keep prefixes with noisy count above this
   std::size_t max_candidates = 4096;  // safety valve on the frontier
-  core::exec::ExecPolicy exec;   // per-prefix branches fan out when > 1
+  core::exec::ExecPolicy exec;   // each level's tally and draws run in chunks
 };
 
 /// Finds strings of exactly `options.length` bytes whose occurrence count

@@ -314,6 +314,21 @@ TEST(Fusion, SharedNarrowNodeRunsItsChainAtMostTwice) {
   EXPECT_EQ(calls, before);
 }
 
+TEST(Fusion, SecondDemandStoresExactlyTheFusedPassRows) {
+  // 3,000 of 10,000 rows: a push_back store would end at capacity 4,096.
+  const Queryable<int> q(iota_vec(0, 10000),
+                         std::make_shared<RootBudget>(1e9),
+                         std::make_shared<NoiseSource>(8));
+  const auto kept = q.where([](int x) { return x % 10 < 3; });
+  EXPECT_NEAR(kept.noisy_count(1e6), 3000.0, 0.5);  // the fused pass
+  EXPECT_FALSE(kept.plan_node().holds_rows());
+  const std::vector<int>& rows = kept.data_unsafe();  // the second demand
+  ASSERT_EQ(rows.size(), 3000u);
+  EXPECT_EQ(rows.capacity(), rows.size());
+  EXPECT_EQ(rows.front(), 0);
+  EXPECT_EQ(rows.back(), 9992);
+}
+
 TEST(Fusion, ConcurrentDemandsShareOneEvaluation) {
   const Queryable<int> q(iota_vec(0, 20000),
                          std::make_shared<RootBudget>(1e18),

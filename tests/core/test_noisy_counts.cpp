@@ -3,13 +3,19 @@
 // and 8 threads — released values byte for byte, the canonical ledger,
 // the journal's charge events and the guard's row count — and the
 // all-or-nothing release: a refusal, a tripped guard and an armed
-// core.release.charge failpoint each charge nothing, and a refusal is
-// journaled once.  They also pin partition's policy-chunked
-// classification: the same parts, in the same row order, at any thread
-// count, each allocated at its exact size under a parallel policy.
+// core.release.charge failpoint each charge nothing, a refusal is
+// journaled once, and a failing executor after the charge still
+// releases every cell.  The grid form, partition by an outer key followed by
+// one noisy_counts per part, is pinned the same way, together with its
+// empty lists (which still take the parts' child ids), its inner key
+// (run only on rows whose outer key is listed) and its one span.  They
+// also pin partition's policy-chunked classification: the same parts, in
+// the same row order, at any thread count, each allocated at its exact
+// size under a parallel policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -18,6 +24,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -302,6 +309,236 @@ TEST(NoisyCounts, RejectsDuplicateKeysAndContainsTheKeyFunction) {
                    0.5, exec::ExecPolicy{4}),
                AnalystCodeError);
   EXPECT_TRUE(data.noisy_counts(std::vector<int>{}, kBucket, 0.5).empty());
+  EXPECT_EQ(budget->spent(), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// The grid form: partition by an outer key, then one noisy_counts over
+// the inner keys on every part, in one pass
+// ---------------------------------------------------------------------
+
+const auto kOuter = [](int x) { return x % 11; };
+const auto kInner = [](int x) { return x; };
+
+std::vector<double> flatten(const std::vector<std::vector<double>>& rows) {
+  std::vector<double> flat;
+  for (const auto& r : rows) flat.insert(flat.end(), r.begin(), r.end());
+  return flat;
+}
+
+/// The grid (or its reference, partition then one histogram per part on
+/// the executor) over `data` or a where over it, then a release on a new
+/// child of the same node, whose id follows the grid's part ids, and one
+/// on the node itself.
+auto grid_then_more(const std::vector<int>& outer,
+                    const std::vector<int>& inner, bool narrow, bool fused) {
+  return [=](const Queryable<int>& data, exec::ExecPolicy policy) {
+    const Queryable<int> q = narrow ? data.where(kNarrow) : data;
+    std::vector<double> values;
+    if (fused) {
+      values = flatten(
+          q.noisy_counts(outer, kOuter, inner, kInner, 0.25, policy));
+    } else {
+      auto parts = q.partition(outer, kOuter, policy);
+      values = flatten(exec::map_parts(
+          policy, outer, parts, [&inner](int, const Queryable<int>& part) {
+            return part.noisy_counts(inner, kInner, 0.25);
+          }));
+    }
+    values.push_back(q.where([](int x) { return x > 500; }).noisy_count(0.25));
+    values.push_back(q.noisy_count(0.25));
+    return values;
+  };
+}
+
+TEST(NoisyCounts, GridEqualsPartitionThenHistogramPerPart) {
+  // Two consecutive runs (10,000 cells, so the draws run in chunks), and
+  // two gapped, unordered lists; outer key 10 is never listed, and some
+  // listed keys have no records.
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> grids = {
+      {iota_keys(10), iota_keys(1000)},
+      {{9, 7, 5, 3, 1, 40}, {12, 0, 6, 3, 99, 2000}},
+  };
+  for (const auto& [outer, inner] : grids) {
+    for (const bool narrow : {true, false}) {
+      const auto reference =
+          run_release(1, 1e6, grid_then_more(outer, inner, narrow, false));
+      ASSERT_EQ(reference.values.size(), outer.size() * inner.size() + 2);
+      ASSERT_EQ(reference.ledger.size(), 3u);
+      for (const std::size_t threads : kThreadCounts) {
+        expect_same_run(
+            run_release(threads, 1e6,
+                        grid_then_more(outer, inner, narrow, true)),
+            reference, threads);
+      }
+    }
+  }
+}
+
+TEST(NoisyCounts, GridOfAnEmptyListChargesNothingButTakesThePartIds) {
+  const std::vector<int> outer = iota_keys(6);
+  const auto later = [](const Queryable<int>& q) {
+    return std::vector<double>{
+        q.where([](int x) { return x % 2 == 0; }).noisy_count(0.5)};
+  };
+  const auto after_partition = run_release(
+      1, 1e6, [&](const Queryable<int>& q, exec::ExecPolicy policy) {
+        std::ignore = q.partition(outer, kOuter, policy);
+        return later(q);
+      });
+  const auto untouched = run_release(
+      1, 1e6, [&](const Queryable<int>& q, exec::ExecPolicy) {
+        return later(q);
+      });
+  for (const std::size_t threads : kThreadCounts) {
+    const auto empty_inner = run_release(
+        threads, 1e6, [&](const Queryable<int>& q, exec::ExecPolicy policy) {
+          EXPECT_EQ(q.noisy_counts(outer, kOuter, std::vector<int>{}, kInner,
+                                   0.5, policy),
+                    std::vector<std::vector<double>>(outer.size()));
+          return later(q);
+        });
+    expect_same_run(empty_inner, after_partition, threads);
+    const auto empty_outer = run_release(
+        threads, 1e6, [&](const Queryable<int>& q, exec::ExecPolicy policy) {
+          EXPECT_TRUE(q.noisy_counts(std::vector<int>{}, kOuter,
+                                     iota_keys(5), kInner, 0.5, policy)
+                          .empty());
+          return later(q);
+        });
+    expect_same_run(empty_outer, untouched, threads);
+  }
+}
+
+TEST(NoisyCounts, GridRunsTheInnerKeyOnlyOnListedOuterRows) {
+  const std::vector<int> values = spread_values(20'000);
+  const Queryable<int> data(values, std::make_shared<RootBudget>(1e6),
+                            std::make_shared<NoiseSource>(11));
+  const std::vector<int> outer = {0, 2, 4, 6, 8};
+  const auto listed = [](int x) {
+    return kOuter(x) % 2 == 0 && kOuter(x) != 10;
+  };
+  for (const std::size_t threads : kThreadCounts) {
+    std::atomic<std::size_t> calls{0};
+    const auto rows = data.noisy_counts(
+        outer, kOuter, iota_keys(1009),
+        [&](int x) {
+          if (!listed(x)) throw std::logic_error("unlisted outer key");
+          calls.fetch_add(1);
+          return x;
+        },
+        0.5, exec::ExecPolicy{threads});
+    EXPECT_EQ(rows.size(), outer.size());
+    EXPECT_EQ(calls.load(), static_cast<std::size_t>(std::count_if(
+                                values.begin(), values.end(), listed)))
+        << "threads=" << threads;
+  }
+}
+
+TEST(NoisyCounts, GridRecordsOneSpanWithEveryCell) {
+  const std::vector<int> values = spread_values(1000);
+  const auto kept = std::count_if(values.begin(), values.end(), kNarrow);
+  const auto data = Queryable<int>(values, std::make_shared<RootBudget>(1e6),
+                                   std::make_shared<NoiseSource>(12));
+  QueryTrace trace;
+  {
+    const TraceSession session(trace);
+    std::ignore = data.where(kNarrow).noisy_counts(
+        iota_keys(10), kOuter, iota_keys(13), kInner, 0.5);
+  }
+  ASSERT_EQ(trace.roots().size(), 1u);
+  const TraceSpan& span = trace.roots().front();
+  EXPECT_EQ(span.op, "noisy_counts");
+  EXPECT_EQ(span.input_rows, kept);
+  EXPECT_EQ(span.output_rows, 130);
+  EXPECT_DOUBLE_EQ(span.eps_charged, 0.5);
+  ASSERT_EQ(span.children.size(), 1u);  // the fused where
+  EXPECT_EQ(span.children.front().op, "where");
+}
+
+TEST(NoisyCounts, GridRefusalChargesNothingAndIsJournaledOnce) {
+  for (const std::size_t threads : kThreadCounts) {
+    const auto refused = run_release(
+        threads, 0.25, [&](const Queryable<int>& q, exec::ExecPolicy policy) {
+          EXPECT_THROW(std::ignore = q.noisy_counts(iota_keys(10), kOuter,
+                                                    iota_keys(13), kInner,
+                                                    0.5, policy),
+                       BudgetExhaustedError);
+          return std::vector<double>{};
+        });
+    EXPECT_EQ(refused.spent, 0.0);
+    EXPECT_TRUE(refused.ledger.empty());
+    EXPECT_TRUE(refused.charges.empty());
+    EXPECT_EQ(refused.refusals, 1u) << "threads=" << threads;
+  }
+}
+
+TEST(NoisyCounts, GridTrippedGuardOrArmedFailpointChargesNothing) {
+  auto budget = std::make_shared<RootBudget>(1.0);
+  const Queryable<int> data(spread_values(5000), budget,
+                            std::make_shared<NoiseSource>(13));
+  const auto grid = [&](std::size_t threads) {
+    return data.noisy_counts(iota_keys(10), kOuter, iota_keys(1000), kInner,
+                             0.5, exec::ExecPolicy{threads});
+  };
+  for (const std::size_t threads : kThreadCounts) {
+    QueryGuard guard;
+    guard.cancel();
+    const GuardScope scope(guard);
+    EXPECT_THROW(std::ignore = grid(threads), QueryAbortedError);
+  }
+  {
+    failpoint::ScopedFailpoint fp("core.release.charge", [](std::string_view) {
+      throw std::runtime_error("injected");
+    });
+    EXPECT_THROW(std::ignore = grid(4), std::runtime_error);
+  }
+  EXPECT_EQ(budget->spent(), 0.0);
+  std::ignore = grid(4);
+  EXPECT_EQ(budget->spent(), 0.5);
+}
+
+TEST(NoisyCounts, DrawsAfterTheChargeSurviveAFailingExecutor) {
+  // 10,000 cells in either form, so at 4 threads the draws run as
+  // executor tasks.  Each form reads its own where, whose rows stream
+  // into a one-pass tally, so the armed failpoint meets only the draws,
+  // which follow the charge: they must still release the unfaulted
+  // values.
+  const auto releases = [](const Queryable<int>& q, exec::ExecPolicy policy) {
+    std::vector<double> values = flatten(q.where(kNarrow).noisy_counts(
+        iota_keys(10), kOuter, iota_keys(1000), kInner, 0.25, policy));
+    const std::vector<double> counts =
+        q.where(kNarrow).noisy_counts(iota_keys(10'000), kInner, 0.25, policy);
+    values.insert(values.end(), counts.begin(), counts.end());
+    return values;
+  };
+  const auto clean = run_release(4, 1e6, releases);
+  ASSERT_EQ(clean.values.size(), 20'000u);
+  std::atomic<std::size_t> fired{0};
+  const auto faulted = [&] {
+    failpoint::ScopedFailpoint fp("exec.worker_task",
+                                  [&fired](std::string_view) {
+                                    fired.fetch_add(1);
+                                    throw std::runtime_error("injected");
+                                  });
+    return run_release(4, 1e6, releases);
+  }();
+  EXPECT_GT(fired.load(), 0u);
+  expect_same_run(faulted, clean, 4);
+}
+
+TEST(NoisyCounts, GridRejectsDuplicateKeysInEitherList) {
+  auto budget = std::make_shared<RootBudget>(1.0);
+  const Queryable<int> data(spread_values(100), budget,
+                            std::make_shared<NoiseSource>(14));
+  EXPECT_THROW(std::ignore = data.noisy_counts(std::vector<int>{1, 2, 1},
+                                               kOuter, iota_keys(3), kInner,
+                                               0.5),
+               InvalidQueryError);
+  EXPECT_THROW(std::ignore = data.noisy_counts(iota_keys(3), kOuter,
+                                               std::vector<int>{4, 4},
+                                               kInner, 0.5),
+               InvalidQueryError);
   EXPECT_EQ(budget->spent(), 0.0);
 }
 
